@@ -21,10 +21,8 @@ from .gamma import (
     singular_exponents,
 )
 from .gevrey import (
-    BorelScaledSeries,
     DimensionTable,
     SlopeReport,
-    borel_rho,
     dimension_table,
     gevrey_index_estimate,
     polynomial_solution,
@@ -33,7 +31,6 @@ from .gevrey import (
 )
 from .lattice import (
     CurveMatrix,
-    LatticeVector,
     SemigroupCertificate,
     curve_matrix,
     delta_j_set,
@@ -69,9 +66,7 @@ from .series import (
     TruncationFrontier,
     WeylOperator,
     apply_operator,
-    inverse_variable_rewrite,
     series_equal,
-    substitute_unit_translation,
     verify_annihilation,
 )
 from .system import HypergeometricSystem, build_system

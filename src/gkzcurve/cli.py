@@ -34,10 +34,8 @@ from .restriction import (
     homogenize,
     restrict_decomposition,
 )
-from .series import TruncationFrontier, verify_annihilation
+from .series import DEFAULT_BOUND, TruncationFrontier, verify_annihilation
 from .system import build_system
-
-DEFAULT_BOUND = 40
 
 
 def _matrix(arg: str):
@@ -99,6 +97,8 @@ def cmd_exponents(args):
 
 
 def _series_for(args, system):
+    if args.bound < 0:
+        raise InvalidInputError("--bound must be nonnegative")
     frontier = TruncationFrontier.uniform(system.n, args.bound)
     if args.point == "modified":
         return modified_series(system, frontier)
@@ -183,9 +183,12 @@ def cmd_bfunction(args):
 def cmd_solve_ext1(args):
     f_table = {}
     if args.f:
-        raw = json.loads(args.f)
-        for item in raw:
-            f_table[(int(item["k"]), int(item["m"]))] = parse_rational(item["coeff"])
+        try:
+            for item in json.loads(args.f):
+                f_table[(int(item["k"]), int(item["m"]))] = parse_rational(item["coeff"])
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise InvalidInputError(f"bad --f table {args.f!r}: expected a JSON list "
+                                    'like [{"k":0,"m":0,"coeff":"1"}]') from exc
     h = ext1_recurrence_solve(
         _matrix(args.matrix), parse_rational(args.epsilon),
         parse_rational(args.beta), f_table, num_terms=args.terms,

@@ -109,17 +109,16 @@ def has_minimal_nsupp(v, A, search_bound: Optional[int] = None) -> MinimalSuppor
 
     if A.n == 2:
         (g,) = kernel_basis(A)
-        gu = g.u
         candidates = {0}
         for i in (0, 1):
-            if v[i].denominator != 1 or gu[i] == 0:
+            if v[i].denominator != 1 or g[i] == 0:
                 continue
             # m where coordinate i crosses between >= 0 and <= -1
-            crossing = Fraction(-v[i], gu[i])
+            crossing = Fraction(-v[i], g[i])
             m0 = math.floor(crossing)
             candidates.update({m0 - 1, m0, m0 + 1})
         for m in candidates:
-            supp = nsupp(tuple(x + m * y for x, y in zip(v, gu)))
+            supp = nsupp(tuple(x + m * y for x, y in zip(v, g)))
             if supp < base_supp:
                 return MinimalSupportResult(False, True)
         return MinimalSupportResult(True, True)
@@ -255,6 +254,16 @@ def _beta_in_semigroup(A: CurveMatrix, beta: Fraction) -> bool:
     return semigroup_contains(ent, int(beta)).member
 
 
+def _plane_split(a: int, b: int, nbeta: int) -> tuple[int, int]:
+    """(q, m0) with nbeta = q b + a m0, 0 <= q < a and m0 >= 0, for a plane
+    matrix (a b) and nbeta in its semigroup."""
+    q = next(
+        k for k in range(a)
+        if nbeta - k * b >= 0 and (nbeta - k * b) % a == 0
+    )
+    return q, (nbeta - q * b) // a
+
+
 def modified_exponent(system: HypergeometricSystem) -> Optional[tuple[int, ExponentVector]]:
     """(q, vtilde): the lattice translate of the polynomial exponent whose
     negative support is nonempty and *not* minimal.  None when beta is not
@@ -274,11 +283,7 @@ def modified_exponent(system: HypergeometricSystem) -> Optional[tuple[int, Expon
     nbeta = int(beta)
     if A.family == "plane":
         a, b = A.entries
-        q = next(
-            k for k in range(a)
-            if nbeta - k * b >= 0 and (nbeta - k * b) % a == 0
-        )
-        m0 = (nbeta - q * b) // a
+        q, m0 = _plane_split(a, b, nbeta)
         mprime = -((m0 + 1) // -b)  # ceil((m0+1)/b)
         v = (Fraction(m0 - b * mprime), Fraction(q + a * mprime))
         return q, ExponentVector(v, "modified", q)

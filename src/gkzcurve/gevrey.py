@@ -28,20 +28,15 @@ the unique slope threshold (b/a, resp. a_n/a_{n-1}).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from .errors import InvalidInputError
-from .gamma import gamma_coefficient, modified_exponent, nsupp, _beta_in_semigroup
+from .gamma import gamma_coefficient, _beta_in_semigroup, _plane_split
 from .lattice import CurveMatrix, curve_matrix, homogenize_matrix
-from .rationals import as_rational, log_abs, log_factorial
+from .rationals import as_rational, log_abs
 from .series import TruncatedSeries, TruncationFrontier
-from .system import HypergeometricSystem, build_system
-
-INF = Fraction(10**9)  # sentinel used internally for s = infinity
 
 
 def _coerce_s(s):
@@ -56,61 +51,6 @@ def _coerce_s(s):
 
 def _s_at_least(s, threshold: Fraction) -> bool:
     return s is None or s >= threshold
-
-
-# ---------------------------------------------------------------------------
-# Borel-type rescaling
-
-
-@dataclass(frozen=True)
-class BorelScaledSeries:
-    """Coefficients of f rescaled by (i!)^{-(s-1)} along one variable.
-
-    For s > 1 the values are floats (the rescaling is transcendental); for
-    s = 1 the original exact coefficients are kept.
-    """
-
-    s: Optional[Fraction]
-    var: int
-    terms: dict
-
-    def envelope(self) -> list[tuple[int, float]]:
-        return sorted(
-            (d, abs(v) if isinstance(v, float) else abs(float(v)))
-            for d, v in self.terms.items()
-        )
-
-
-def borel_rho(f: TruncatedSeries, s, var: int) -> BorelScaledSeries:
-    """Group f by x_var-degree and divide the coefficients by (i!)^{s-1}.
-
-    Degrees must be nonnegative integers (the series is viewed as a power
-    series in x_var).  Multiple terms of equal degree are summed in
-    absolute value, which is the right input for growth estimates.
-    """
-    s = _coerce_s(s)
-    if not 0 <= var < f.n:
-        raise InvalidInputError("variable index out of range")
-    degrees: dict[int, Fraction] = {}
-    for u, c in f.terms.items():
-        d = f.base[var] + u[var]
-        if d.denominator != 1 or d < 0:
-            raise InvalidInputError(
-                "borel_rho needs nonnegative integer degrees along the chosen variable"
-            )
-        d = int(d)
-        degrees[d] = degrees.get(d, Fraction(0)) + abs(c)
-    if s == 1:
-        return BorelScaledSeries(s, var, degrees)
-    out = {}
-    for d, c in degrees.items():
-        if c == 0:
-            continue
-        if s is None:
-            out[d] = 0.0 if d > 0 else float(c)
-            continue
-        out[d] = math.exp(log_abs(c) - float(s - 1) * log_factorial(d))
-    return BorelScaledSeries(s, var, out)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +98,8 @@ def gevrey_index_estimate(f: TruncatedSeries, var: int, min_terms: int = 8,
 
     after discarding the first 20% of the terms as burn-in.  The nuisance
     regressors soak up the Stirling corrections, leaving s - 1 in alpha.
-    Returns {'estimate': 1 + alpha, 'stderr': ..., 'diagonal': ...}.
+    Returns {'estimate': 1 + alpha, 'stderr': ..., 'diagonal': ...}, and
+    raises InvalidInputError when the points left cannot determine the fit.
     Exact (complete) series are polynomials and get index 1 by convention.
     """
     if not 0 <= var < f.n:
@@ -203,15 +144,21 @@ def gevrey_index_estimate(f: TruncatedSeries, var: int, min_terms: int = 8,
         )
     burn = len(points) // 5
     points = points[burn:]
-    d = np.array([p[0] for p in points])
-    y = np.array([p[1] for p in points])
-    X = np.column_stack([d * np.log(d), d, np.log(d), np.ones_like(d)])
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ coef
-    dof = max(len(d) - X.shape[1], 1)
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(X.T @ X)
-    stderr = float(np.sqrt(max(cov[0, 0], 0.0)))
+    d = [p[0] for p in points]
+    ln = [math.log(di) for di in d]
+    # Normal equations N coef = r of the fit, solved exactly over the
+    # rationals from the float points; the same inverse gives the stderr.
+    cols = [[Fraction(x) for x in col]
+            for col in ([di * li for di, li in zip(d, ln)], d, ln, [1.0] * len(d))]
+    y = [Fraction(p[1]) for p in points]
+    N = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
+    r = [sum(a * b for a, b in zip(ci, y)) for ci in cols]
+    inv = _inverse(N)
+    coef = [sum(a * b for a, b in zip(row, r)) for row in inv]
+    # at the least-squares solution the residual sum of squares is y.y - coef.r
+    rss = sum(yi * yi for yi in y) - sum(c * ri for c, ri in zip(coef, r))
+    dof = max(len(d) - len(cols), 1)
+    stderr = math.sqrt(float(rss / dof * inv[0][0]))
     return {
         "estimate": 1.0 + float(coef[0]),
         "stderr": stderr,
@@ -220,6 +167,27 @@ def gevrey_index_estimate(f: TruncatedSeries, var: int, min_terms: int = 8,
             f"({len(points)} points after burn-in)"
         ),
     }
+
+
+def _inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse by Gauss-Jordan elimination."""
+    n = len(m)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col]), None)
+        if piv is None:
+            raise InvalidInputError(
+                "singular normal equations: too few distinct diagonal points to fit"
+            )
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        aug[col] = [x / p for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +384,7 @@ def polynomial_solution(A, beta) -> Optional[tuple[int, TruncatedSeries]]:
 
     if A.family == "plane":
         a, b = A.entries
-        q = next(
-            k for k in range(a)
-            if nbeta - k * b >= 0 and (nbeta - k * b) % a == 0
-        )
-        m0 = (nbeta - q * b) // a
+        q, m0 = _plane_split(a, b, nbeta)
         v = (Fraction(m0), Fraction(q))
         offsets = [(-b * m, a * m) for m in range(m0 // b + 1)]
     elif A.family in ("smooth", "homogenized"):

@@ -136,99 +136,7 @@ def homogenize_matrix(A: CurveMatrix) -> CurveMatrix:
 # lattice kernel
 
 
-@dataclass(frozen=True)
-class LatticeVector:
-    """An element u of L_A = ker A, split into positive/negative parts."""
-
-    u: tuple[int, ...]
-
-    @property
-    def plus(self) -> tuple[int, ...]:
-        return tuple(max(x, 0) for x in self.u)
-
-    @property
-    def minus(self) -> tuple[int, ...]:
-        return tuple(max(-x, 0) for x in self.u)
-
-    def __iter__(self):
-        return iter(self.u)
-
-    def __len__(self):
-        return len(self.u)
-
-
-def _kernel_columns(entries: Sequence[int]) -> list[list[int]]:
-    """Integer kernel basis of a 1 x n row, by unimodular column reduction.
-
-    Keep a value vector v (initially the row) and combo columns (initially
-    the identity); gcd-combine column 0 with each other column until every
-    value except v[0] is zero.  The columns with value 0 then generate the
-    full integer kernel.
-    """
-    n = len(entries)
-    vals = list(entries)
-    cols = [[int(i == j) for i in range(n)] for j in range(n)]
-    for j in range(1, n):
-        a, b = vals[0], vals[j]
-        g = math.gcd(a, b)
-        # x a + y b = g
-        x, y = _bezout(a, b)
-        c0 = [x * cols[0][i] + y * cols[j][i] for i in range(n)]
-        cj = [(b // g) * cols[0][i] - (a // g) * cols[j][i] for i in range(n)]
-        cols[0], cols[j] = c0, cj
-        vals[0], vals[j] = g, 0
-    basis = [cols[j] for j in range(1, n)]
-    for u in basis:
-        if sum(a * x for a, x in zip(entries, u)) != 0:
-            raise InvariantViolationError("kernel reduction produced a non-kernel vector")
-    return basis
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_s, old_t
-
-
-def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Row-style Hermite normal form (pivots positive, entries below reduced)."""
-    rows = [list(r) for r in rows]
-    m, n = len(rows), len(rows[0])
-    pr = 0
-    for col in range(n):
-        if pr >= m:
-            break
-        # gcd-eliminate the column below the pivot row
-        piv = None
-        for i in range(pr, m):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        for i in range(pr + 1, m):
-            while rows[i][col]:
-                q = rows[pr][col] // rows[i][col]
-                rows[pr] = [x - q * y for x, y in zip(rows[pr], rows[i])]
-                rows[pr], rows[i] = rows[i], rows[pr]
-        if rows[pr][col] < 0:
-            rows[pr] = [-x for x in rows[pr]]
-        for i in range(pr):
-            q = rows[i][col] // rows[pr][col]
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[pr])]
-        pr += 1
-    return rows
-
-
-def kernel_basis(A: CurveMatrix) -> list[LatticeVector]:
+def kernel_basis(A: CurveMatrix) -> list[tuple[int, ...]]:
     """A Z-basis of L_A = ker(A), in a family-specific normal form.
 
     * plane (a b): the single generator (b, -a).
@@ -236,9 +144,9 @@ def kernel_basis(A: CurveMatrix) -> list[LatticeVector]:
       row i has entry 1 in position i and -e_i in position 1, except row
       N-1 which is flipped to (+e_{N-1}, 0, ..., -1, 0).  (This is the sign
       split under which the modified exponent arises as v + m * u^{N-1}.)
-    * general: Hermite-normal-form basis with positive pivots.
 
-    Every returned vector u satisfies A.u = 0.
+    A general matrix has no such normal form here and is rejected.  Every
+    returned vector u satisfies A.u = 0.
     """
     ent = A.entries
     n = A.n
@@ -257,15 +165,11 @@ def kernel_basis(A: CurveMatrix) -> list[LatticeVector]:
                 row[i] = 1
             basis.append(tuple(row))
     else:
-        raw = _kernel_columns(ent)
-        rows = _hnf_rows(raw)
-        basis = [tuple(r) for r in rows]
-    out = []
+        raise InvalidInputError(f"no kernel basis for the {A.family} family")
     for u in basis:
         if A.dot(u) != 0:
             raise InvariantViolationError(f"basis vector {u} not in ker {A}")
-        out.append(LatticeVector(u))
-    return out
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -291,24 +195,35 @@ class SemigroupCertificate:
         )
 
 
-def _reachable(generators: tuple[int, ...], limit: int) -> list[int]:
-    """reach[t] = index of a generator last used to reach t, or -1."""
-    reach = [-1] * (limit + 1)
-    reach[0] = -2  # sentinel: reachable with no steps
-    for t in range(1, limit + 1):
-        for idx, g in enumerate(generators):
-            if g <= t and reach[t - g] != -1:
-                reach[t] = idx
-                break
+def _suffix_reach(gens: tuple[int, ...], limit: int) -> list[int]:
+    """R_0, ..., R_r as bitsets: bit t of R_k is set iff t <= limit is a sum
+    of gens[k:].
+
+    R_r = {0}, and R_k closes R_{k+1} under adding g_k: each shift by
+    step = g_k, 2 g_k, 4 g_k, ... doubles the multiples of g_k covered,
+    until they pass ``limit``.
+    """
+    mask = (1 << (limit + 1)) - 1
+    reach = [1]
+    for g in reversed(gens):
+        bits = reach[-1]
+        step = g
+        while step <= limit:
+            bits |= (bits << step) & mask
+            step *= 2
+        reach.append(bits)
+    reach.reverse()
     return reach
 
 
 def semigroup_contains(generators: Sequence[int], target: int) -> SemigroupCertificate:
     """Decide target in sum_i N g_i by dynamic programming, with a witness.
 
-    Negative targets are non-members; target 0 is a member with the zero
-    witness.  Targets above the term cap raise ResourceLimitError rather
-    than silently answering.
+    The witness (c_1, ..., c_r) is the lexicographically smallest one: the
+    walk takes the least c_k that leaves a remainder reachable by the later
+    generators.  Negative targets are non-members; target 0 is a member
+    with the zero witness.  Targets above the term cap raise
+    ResourceLimitError rather than silently answering.
     """
     gens = tuple(int(g) for g in generators)
     if not gens or any(g <= 0 for g in gens):
@@ -318,30 +233,18 @@ def semigroup_contains(generators: Sequence[int], target: int) -> SemigroupCerti
         return SemigroupCertificate(gens, target, False)
     if target > term_cap():
         raise ResourceLimitError(f"semigroup target {target} exceeds the term cap")
-    reach = _reachable(gens, target)
-    if reach[target] == -1:
+    reach = _suffix_reach(gens, target)
+    if not reach[0] >> target & 1:
         return SemigroupCertificate(gens, target, False)
-    counts = [0] * len(gens)
+    counts = []
     t = target
-    while t > 0:
-        idx = reach[t]
-        counts[idx] += 1
-        t -= gens[idx]
+    for k, g in enumerate(gens):
+        c = 0
+        while not reach[k + 1] >> (t - c * g) & 1:
+            c += 1
+        counts.append(c)
+        t -= c * g
     return SemigroupCertificate(gens, target, True, tuple(counts))
-
-
-def _lex_smallest_witness(gens: tuple[int, ...], target: int) -> Optional[tuple[int, ...]]:
-    """Lexicographically smallest (c_1, ..., c_r) with sum c_i g_i = target."""
-    if target < 0:
-        return None
-    if not gens:
-        return () if target == 0 else None
-    g, rest = gens[0], gens[1:]
-    for c in range(target // g + 1):
-        tail = _lex_smallest_witness(rest, target - c * g)
-        if tail is not None:
-            return (c,) + tail
-    return None
 
 
 def minimal_delta(A: CurveMatrix, i: int) -> tuple[int, tuple[int, ...]]:
@@ -363,15 +266,10 @@ def minimal_delta(A: CurveMatrix, i: int) -> tuple[int, tuple[int, ...]]:
     ai = A.entries[i]
     delta = 0
     while True:
-        t = 1 + delta * ai
-        if t > term_cap():
-            raise ResourceLimitError("minimal_delta search exceeded the term cap")
-        if semigroup_contains(others, t).member:
-            w = _lex_smallest_witness(others, t)
-            if w is None:
-                raise InvariantViolationError("witness reconstruction failed")
-            rho = list(w[:i]) + [0] + list(w[i:])
-            return delta, tuple(rho)
+        cert = semigroup_contains(others, 1 + delta * ai)
+        if cert.member:
+            w = cert.witness
+            return delta, w[:i] + (0,) + w[i:]
         delta += 1
 
 

@@ -24,9 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .errors import InvalidInputError, InvariantViolationError
 from .gamma import modified_exponent
@@ -220,6 +218,8 @@ def ext1_recurrence_solve(A, epsilon, beta, f_coeffs, h_init=None,
         A = curve_matrix(A)
     if A.family != "plane":
         raise InvalidInputError("the recurrence is stated for plane matrices")
+    if num_terms < 0:
+        raise InvalidInputError("the number of terms must be nonnegative")
     epsilon = as_rational(epsilon)
     if epsilon == 0:
         raise InvalidInputError("the germ must sit off the origin: epsilon != 0")
@@ -278,9 +278,10 @@ def gevrey_envelope_fit(values: Sequence[float]) -> tuple[float, float]:
     pts = [(m, v) for m, v in enumerate(values) if v > 0]
     if len(pts) < 2:
         return (max([v for _, v in pts], default=0.0) or 1.0, 1.0)
-    ms = np.array([m for m, _ in pts], dtype=float)
-    ys = np.array([math.log(v) for _, v in pts])
-    slope, intercept = np.polyfit(ms, ys, 1)
+    m_mean = sum(m for m, _ in pts) / len(pts)
+    y_mean = sum(math.log(v) for _, v in pts) / len(pts)
+    slope = (sum((m - m_mean) * (math.log(v) - y_mean) for m, v in pts)
+             / sum((m - m_mean) ** 2 for m, _ in pts))
     D = math.exp(slope)
     C = max(v / D**m for m, v in pts)
     return C, D

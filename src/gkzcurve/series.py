@@ -21,8 +21,6 @@ monomials  c * x^p * d^q  with multi-indices p, q >= 0.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -32,7 +30,6 @@ from .rationals import (
     as_rational,
     as_rational_vector,
     falling_factorial,
-    falling_factorial_1d,
     format_rational,
     parse_rational,
 )
@@ -105,9 +102,6 @@ class TruncatedSeries:
     def coefficient(self, offset: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(offset), Fraction(0))
 
-    def exponent(self, offset: Sequence[int]) -> tuple[Fraction, ...]:
-        return tuple(b + u for b, u in zip(self.base, offset))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -129,10 +123,6 @@ class TruncatedSeries:
         merged = {u: c for u, c in merged.items()
                   if exact or frontier.contains(u)}
         return TruncatedSeries(self.base, merged, frontier, exact)
-
-    def restrict(self, frontier: TruncationFrontier) -> "TruncatedSeries":
-        kept = {u: c for u, c in self.terms.items() if frontier.contains(u)}
-        return TruncatedSeries(self.base, kept, frontier, False)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items())
@@ -207,15 +197,6 @@ class WeylOperator:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int) -> "WeylOperator":
-        return cls(n, ())
-
-    @classmethod
-    def constant(cls, n: int, c) -> "WeylOperator":
-        z = (0,) * n
-        return cls(n, [(c, z, z)])
-
-    @classmethod
     def d_power(cls, n: int, i: int, k: int = 1) -> "WeylOperator":
         q = [0] * n
         q[i] = k
@@ -262,24 +243,6 @@ class WeylOperator:
     def scale(self, c) -> "WeylOperator":
         c = as_rational(c)
         return WeylOperator(self.n, [(c * t, p, q) for t, p, q in self.terms])
-
-    def __mul__(self, other: "WeylOperator") -> "WeylOperator":
-        """Weyl-algebra product, via d^q x^r = sum_k C(q,k) (r)_k x^{r-k} d^{q-k}."""
-        if self.n != other.n:
-            raise InvalidInputError("operator dimension mismatch")
-        out = []
-        for c1, p, q in self.terms:
-            for c2, r, s in other.terms:
-                ranges = [range(min(qi, ri) + 1) for qi, ri in zip(q, r)]
-                for k in itertools.product(*ranges):
-                    coef = Fraction(c1 * c2)
-                    for qi, ri, ki in zip(q, r, k):
-                        if ki:
-                            coef *= math.comb(qi, ki) * int(falling_factorial_1d(ri, ki))
-                    newx = tuple(pi + ri - ki for pi, ri, ki in zip(p, r, k))
-                    newd = tuple(qi - ki + si for qi, si, ki in zip(q, s, k))
-                    out.append((coef, newx, newd))
-        return WeylOperator(self.n, out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WeylOperator) and self.terms == other.terms
@@ -372,37 +335,3 @@ def verify_annihilation(ops: Iterable[WeylOperator],
         reports.append(AnnihilationReport(op, len(g.terms), worst, g.frontier.bound))
     return reports
 
-
-def substitute_unit_translation(op: WeylOperator, i: int, eps) -> WeylOperator:
-    """Rewrite x_i -> t_i + eps in every operator coefficient.
-
-    Models translating the i-th coordinate to a point at distance eps from
-    the coordinate hyperplane; derivatives are untouched (d/dx_i = d/dt_i).
-    """
-    eps = as_rational(eps)
-    if eps == 0:
-        raise InvalidInputError("translation distance must be nonzero")
-    if not 0 <= i < op.n:
-        raise InvalidInputError("variable index out of range")
-    out = []
-    for c, p, q in op.terms:
-        pi = p[i]
-        for k in range(pi + 1):
-            newp = list(p)
-            newp[i] = k
-            out.append((c * math.comb(pi, k) * eps ** (pi - k), tuple(newp), q))
-    return WeylOperator(op.n, out)
-
-
-def inverse_variable_rewrite(f: TruncatedSeries, i: int) -> TruncatedSeries:
-    """Substitute x_i -> 1/x_i (negate the i-th exponent throughout)."""
-    if not 0 <= i < f.n:
-        raise InvalidInputError("variable index out of range")
-    base = list(f.base)
-    base[i] = -base[i]
-    terms = {}
-    for u, c in f.terms.items():
-        v = list(u)
-        v[i] = -v[i]
-        terms[tuple(v)] = c
-    return TruncatedSeries(tuple(base), terms, f.frontier, f.exact)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .lattice import CurveMatrix, curve_matrix, kernel_basis, minimal_delta
+from .lattice import CurveMatrix, curve_matrix, minimal_delta
 from .rationals import as_rational
 from .series import TruncationFrontier, WeylOperator
 from . import lattice as _lattice

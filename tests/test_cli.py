@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import subprocess
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gkzcurve.cli import main
 
@@ -89,6 +94,18 @@ def test_exit_codes(capsys):
     assert code == 2
     code, _, _ = run(capsys, "solve-ext1", "-A", "2,3", "-b", "1", "--epsilon", "0")
     assert code == 2
+    for bad_f in ["notjson", '[{"k":0}]', '{"k":0}', '[{"k":"x","m":0,"coeff":"1"}]',
+                  '[{"k":0,"m":0,"coeff":1}]']:
+        code, _, err = run(capsys, "solve-ext1", "-A", "2,3", "-b", "1", "--f", bad_f)
+        assert code == 2 and err.startswith("error:"), bad_f
+    code, _, err = run(capsys, "solve-ext1", "-A", "2,3", "-b", "1", "--terms", "-3")
+    assert code == 2 and err.startswith("error:")
+    for cmd in ("series", "verify"):
+        code, _, err = run(capsys, cmd, "-A", "2,3", "-b", "1", "--bound", "-5")
+        assert code == 2 and err.startswith("error:")
+    code, _, err = run(capsys, "gevrey-index", "-A", "2,3", "-b", "1", "--index", "1",
+                       "--var", "1", "--bound", "9", "--min-terms", "0")
+    assert code == 2 and err.startswith("error:")
 
 
 def test_term_cap_exit_code(capsys, monkeypatch):
@@ -96,3 +113,77 @@ def test_term_cap_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "series", "-A", "2,3", "-b", "1",
                        "--point", "singular", "--index", "1", "--bound", "40")
     assert code == 3 and "resource" in err
+
+
+def test_import_leaves_numpy_out():
+    code = "import sys, gkzcurve, gkzcurve.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: whatever the arguments, the exit code is 0, 2 or 3
+
+GARBAGE = st.text(alphabet="0123456789,-/.xe[]{}:k ", max_size=10)
+MATRIX = st.one_of(
+    st.lists(st.integers(1, 12), min_size=2, max_size=4, unique=True).map(sorted),
+    st.lists(st.integers(-1, 12), min_size=1, max_size=4),
+).map(lambda xs: ",".join(map(str, xs)))
+SMALL_INT = st.integers(-3, 30).map(str)
+RATIONAL = st.fractions(-6, 20, max_denominator=4).map(str)
+F_TABLE = st.lists(st.fixed_dictionaries({"k": st.integers(-1, 3), "m": st.integers(-1, 5),
+                                          "coeff": RATIONAL}), max_size=3).map(json.dumps)
+POINT = st.sampled_from(["singular", "generic", "modified"])
+SERIES_OPTS = {"--bound": SMALL_INT, "--point": POINT, "--index": SMALL_INT}
+# subcommand -> (required options, optional options)
+COMMANDS = {
+    "exponents": ({"-A": MATRIX}, {"-b": RATIONAL}),
+    "series": ({"-A": MATRIX}, {"-b": RATIONAL, **SERIES_OPTS}),
+    "verify": ({"-A": MATRIX}, {"-b": RATIONAL, **SERIES_OPTS}),
+    "gevrey-index": ({"-A": MATRIX, "--var": SMALL_INT},
+                     {"-b": RATIONAL, "--min-terms": SMALL_INT, **SERIES_OPTS}),
+    "slopes": ({"-A": MATRIX}, {}),
+    "dims": ({"-A": MATRIX}, {"-b": RATIONAL, "-s": st.one_of(RATIONAL, st.just("inf"))}),
+    "restrict": ({"-A": MATRIX}, {"-b": RATIONAL}),
+    "homogenize": ({"-A": MATRIX}, {"-b": RATIONAL}),
+    "bfunction": ({"-k": SMALL_INT, "-a": SMALL_INT, "-b": SMALL_INT}, {}),
+    "solve-ext1": ({"-A": MATRIX}, {"-b": RATIONAL, "--epsilon": RATIONAL,
+                                    "--f": F_TABLE, "--terms": SMALL_INT}),
+    "polysol": ({"-A": MATRIX}, {"-b": RATIONAL}),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with its required options, some optional ones, and at
+    most one value replaced by garbage."""
+    cmd = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional = COMMANDS[cmd]
+    options = {**required, **optional}
+    flags = list(required)
+    if optional:
+        flags += draw(st.lists(st.sampled_from(sorted(optional)), unique=True))
+    values = [draw(options[flag]) for flag in flags]
+    if draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(GARBAGE)
+    argv = [cmd]
+    for flag, value in zip(flags, values):
+        argv += [flag, value]
+    if cmd != "bfunction" and draw(st.booleans()):
+        argv += ["--output", "text"]
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argvs())
+def test_fuzz_argv_exit_codes(monkeypatch, argv):
+    monkeypatch.setenv("GKZ_TERM_CAP", "2000")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +5,6 @@ import pytest
 from gkzcurve.errors import InvalidInputError
 from gkzcurve.gamma import gamma_series, singular_exponents
 from gkzcurve.gevrey import (
-    borel_rho,
     dimension_table,
     gevrey_index_estimate,
     polynomial_solution,
@@ -14,7 +12,6 @@ from gkzcurve.gevrey import (
     slope_threshold,
 )
 from gkzcurve.lattice import curve_matrix
-from gkzcurve.restriction import gevrey_envelope_fit
 from gkzcurve.series import TruncationFrontier, apply_operator, verify_annihilation
 from gkzcurve.system import build_system
 
@@ -23,39 +20,6 @@ def singular_series(entries, beta, index, bound):
     system = build_system(entries, beta)
     v = singular_exponents(system)[index]
     return gamma_series(v, system, TruncationFrontier.uniform(len(entries), bound)), system
-
-
-# ---------------------------------------------------------------------------
-# Borel rescaling
-
-
-def test_borel_rho_identity_at_s_1():
-    f, _ = singular_series((2, 3), 1, 1, 30)
-    scaled = borel_rho(f, 1, 1)
-    assert scaled.terms[1] == abs(f.coefficient((0, 0)))
-
-
-def test_borel_rho_at_the_jump_gives_exponential_envelope():
-    # |c_m| x2^{1+2m} with |c_m| = (3m)!/(2m+1)!: at s = 3/2 the rescaled
-    # coefficients grow at most like C D^m
-    f, _ = singular_series((2, 3), 1, 1, 120)
-    scaled = borel_rho(f, F(3, 2), 1)
-    env = scaled.envelope()
-    values = [v for _, v in env]
-    C, D = gevrey_envelope_fit(values)
-    assert all(v <= C * D**m * (1 + 1e-9) for m, v in enumerate(values))
-    # below the jump the rescaled terms still blow up super-exponentially:
-    under = borel_rho(f, F(5, 4), 1).envelope()
-    ratios = [math.log(b[1] / a[1]) for a, b in zip(under[:-1], under[1:])]
-    assert ratios[-1] > ratios[0] + 1  # increasing log-ratios = not geometric
-
-
-def test_borel_rho_rejects_fractional_degrees():
-    system = build_system((2, 3), 1)
-    f = gamma_series(singular_exponents(system)[0], system,
-                     TruncationFrontier.uniform(2, 20))
-    with pytest.raises(InvalidInputError):
-        borel_rho(f, 2, 0)  # x1-exponents are half-integers here
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +41,15 @@ def test_gevrey_estimates_plane(entries, beta, index, expect, tol, bound):
     assert est["estimate"] == pytest.approx(float(expect), abs=tol)
 
 
+def test_gevrey_estimate_pinned_to_recorded_values():
+    # values recorded by the benchmark golden file for
+    # gkz gevrey-index -A 2,3 -b 1 --index 1 --bound 160 --var 1
+    f, system = singular_series((2, 3), 1, 1, 160)
+    est = gevrey_index_estimate(f, 1, matrix=system.matrix)
+    assert est["estimate"] == pytest.approx(1.499477286438312, rel=1e-9)
+    assert est["stderr"] == pytest.approx(2.373633242990137e-05, rel=1e-9)
+
+
 def test_gevrey_estimate_smooth_needs_matrix():
     f, system = singular_series((1, 2, 5), 1, 0, 220)
     with pytest.raises(InvalidInputError):
@@ -96,6 +69,10 @@ def test_gevrey_estimate_insufficient_terms():
     f, _ = singular_series((2, 3), 1, 1, 20)
     with pytest.raises(InvalidInputError):
         gevrey_index_estimate(f, 1, min_terms=30)
+    # 3 diagonal points cannot determine the 4 fit coefficients
+    f, _ = singular_series((2, 3), 1, 1, 10)
+    with pytest.raises(InvalidInputError):
+        gevrey_index_estimate(f, 1, min_terms=0)
 
 
 # ---------------------------------------------------------------------------

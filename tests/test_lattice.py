@@ -42,30 +42,33 @@ def test_invalid_matrices_rejected(entries):
 
 
 def test_plane_kernel():
-    (u,) = kernel_basis(curve_matrix((2, 3)))
-    assert u.u == (3, -2)
-    assert u.plus == (3, 0) and u.minus == (0, 2)
+    assert kernel_basis(curve_matrix((2, 3))) == [(3, -2)]
 
 
 def test_smooth_kernel_rows():
     # the distinguished row (second-to-last variable) has flipped signs
-    basis = [u.u for u in kernel_basis(curve_matrix((1, 2, 5)))]
+    basis = kernel_basis(curve_matrix((1, 2, 5)))
     assert basis == [(2, -1, 0), (-5, 0, 1)]
-    basis4 = [u.u for u in kernel_basis(curve_matrix((1, 3, 4, 5)))]
+    basis4 = kernel_basis(curve_matrix((1, 3, 4, 5)))
     assert basis4 == [(-3, 1, 0, 0), (4, 0, -1, 0), (-5, 0, 0, 1)]
 
 
-@pytest.mark.parametrize("entries", [(2, 3), (1, 2, 5), (1, 3, 7), (3, 4, 5), (2, 5, 7)])
+@pytest.mark.parametrize("entries", [(2, 3), (1, 2, 5), (1, 3, 7)])
 def test_kernel_vectors_lie_in_kernel_and_span(entries):
     A = curve_matrix(entries)
     basis = kernel_basis(A)
     assert len(basis) == A.n - 1
     for u in basis:
-        assert A.dot(u.u) == 0
+        assert A.dot(u) == 0
     # full rank: the Gram determinant of the basis must be nonzero
-    rows = [u.u for u in basis]
-    gram = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+    gram = [[sum(a * b for a, b in zip(r, s)) for s in basis] for r in basis]
     assert _det(gram) != 0
+
+
+@pytest.mark.parametrize("entries", [(3, 4, 5), (2, 5, 7)])
+def test_kernel_basis_rejects_general(entries):
+    with pytest.raises(InvalidInputError):
+        kernel_basis(curve_matrix(entries))
 
 
 def _det(m):
@@ -98,6 +101,29 @@ def test_semigroup_against_brute_force(gens):
         cert = semigroup_contains(gens, target)
         assert cert.member == brute_force_member(gens, target)
         assert cert.check()
+
+
+def lex_smallest_witness(gens, target):
+    """Lexicographically smallest (c_1, ..., c_r) with sum c_i g_i = target,
+    by exhaustive recursion (exponential; small inputs only)."""
+    if target < 0:
+        return None
+    if not gens:
+        return () if target == 0 else None
+    g, rest = gens[0], gens[1:]
+    for c in range(target // g + 1):
+        tail = lex_smallest_witness(rest, target - c * g)
+        if tail is not None:
+            return (c,) + tail
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 15), min_size=1, max_size=4), st.integers(0, 80))
+def test_semigroup_witness_is_lex_smallest(gens, target):
+    cert = semigroup_contains(gens, target)
+    assert cert.witness == lex_smallest_witness(tuple(gens), target)
+    assert cert.member == (cert.witness is not None)
 
 
 def test_semigroup_edge_cases():
@@ -148,6 +174,12 @@ def test_minimal_delta_witness_is_lex_smallest():
     # for (3 4 5), i = 2: 1 + 5 = 6 = 2*3 + 0*4 beats 0*3 + ... none smaller
     delta, rho = minimal_delta(curve_matrix((3, 4, 5)), 2)
     assert (delta, rho) == (1, (2, 0, 0))
+    for entries in [(3, 5, 7), (4, 6, 9, 11), (5, 7, 9), (3, 10, 17)]:
+        for i in range(len(entries)):
+            delta, rho = minimal_delta(curve_matrix(entries), i)
+            others = tuple(a for j, a in enumerate(entries) if j != i)
+            want = lex_smallest_witness(others, 1 + delta * entries[i])
+            assert rho == want[:i] + (0,) + want[i:]
 
 
 # ---------------------------------------------------------------------------

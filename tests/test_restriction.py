@@ -142,6 +142,8 @@ def test_recurrence_validation():
         ext1_recurrence_solve(A, 1, 1, {(5, 0): F(1)})
     with pytest.raises(InvalidInputError):
         ext1_recurrence_solve(curve_matrix((1, 2, 5)), 1, 1, {})
+    with pytest.raises(InvalidInputError):
+        ext1_recurrence_solve(A, 1, 1, {}, num_terms=-3)
 
 
 @pytest.mark.parametrize(
@@ -169,6 +171,13 @@ def test_recurrence_solves_the_operator_equation(f_table, h_init):
             assert series_equal(ph, f_by_k[k])
         else:
             assert ph.is_zero()
+
+
+def test_envelope_fit_recovers_a_geometric_sequence():
+    C, D = gevrey_envelope_fit([0.0] + [3 * 2.0**m for m in range(1, 12)])
+    assert D == pytest.approx(2.0, rel=1e-12)
+    assert C == pytest.approx(3.0, rel=1e-12)
+    assert gevrey_envelope_fit([5.0]) == (5.0, 1.0)
 
 
 def test_recurrence_gevrey_envelope():

@@ -10,9 +10,7 @@ from gkzcurve.series import (
     TruncationFrontier,
     WeylOperator,
     apply_operator,
-    inverse_variable_rewrite,
     series_equal,
-    substitute_unit_translation,
     verify_annihilation,
 )
 
@@ -78,19 +76,6 @@ def test_operator_linearity_and_composition():
     lhs = apply_operator(P + E, f)
     rhs = apply_operator(P, f) + apply_operator(E, f)
     assert series_equal(lhs, rhs)
-    comp = apply_operator(P, apply_operator(E, f))
-    prod = apply_operator(P * E, f)
-    assert series_equal(comp, prod)
-
-
-def test_commutation_with_euler():
-    # For the plane operator P = d1^b - d2^a:  P E = (E + ab) P
-    for (a, b) in [(2, 3), (2, 5), (3, 4)]:
-        n = 2
-        P = WeylOperator.from_lattice((b, -a))
-        E = WeylOperator.euler((a, b), F(7, 3))
-        shift = WeylOperator.constant(n, a * b)
-        assert P * E == (E + shift) * P
 
 
 @given(
@@ -114,42 +99,6 @@ def test_verify_annihilation_reports():
     r0, r1 = verify_annihilation([E0, E1], f)
     assert r0.annihilated and r0.max_residual_offset is None
     assert r1.residual_term_count == 1 and r1.max_residual_offset == (0, 0)
-
-
-def test_substitute_unit_translation():
-    # 2 x1 d1 -> 2 t1 d1 + 2 eps d1
-    E = WeylOperator.euler((2, 3), F(5))
-    T = substitute_unit_translation(E, 0, F(1, 2))
-    expect = WeylOperator(
-        2,
-        [
-            (2, (1, 0), (1, 0)),
-            (1, (0, 0), (1, 0)),  # 2 * eps
-            (3, (0, 1), (0, 1)),
-            (-5, (0, 0), (0, 0)),
-        ],
-    )
-    assert T == expect
-    with pytest.raises(InvalidInputError):
-        substitute_unit_translation(E, 0, 0)
-
-
-def test_substitute_translation_is_multiplicative():
-    # substitution is a ring map: check on a product
-    A = WeylOperator.monomial(2, F(1), (2, 0), (1, 0))
-    B = WeylOperator.monomial(2, F(1), (1, 1), (0, 1))
-    eps = F(3)
-    lhs = substitute_unit_translation(A * B, 0, eps)
-    rhs = substitute_unit_translation(A, 0, eps) * substitute_unit_translation(B, 0, eps)
-    assert lhs == rhs
-
-
-def test_inverse_variable_rewrite_is_involution():
-    f = TruncatedSeries((F(1, 2), F(-1)), {(0, 0): 1, (-3, 2): F(5)}, frontier2())
-    g = inverse_variable_rewrite(f, 1)
-    assert g.base == (F(1, 2), F(1))
-    assert g.coefficient((-3, -2)) == F(5)
-    assert series_equal(inverse_variable_rewrite(g, 1), f)
 
 
 def test_exact_series_skip_frontier_shrink():
