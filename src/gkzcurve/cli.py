@@ -26,7 +26,7 @@ from .gevrey import (
     polynomial_solution,
     slope_report,
 )
-from .lattice import curve_matrix
+from .lattice import curve_matrix, homogenize_matrix
 from .rationals import format_rational, parse_rational
 from .restriction import (
     b_function_1kakb,
@@ -62,8 +62,7 @@ def _exponent_payload(system, which: str):
     out = []
     for v in vs:
         res = has_minimal_nsupp(v, system.matrix if len(v) == system.n
-                                else curve_matrix((1,) + system.matrix.entries,
-                                                  family="homogenized"))
+                                else homogenize_matrix(system.matrix))
         out.append({
             "index": v.index,
             "vector": [format_rational(x) for x in v],
@@ -180,12 +179,21 @@ def cmd_bfunction(args):
     _emit(args, bf.to_json(), f"roots: {list(bf.roots)}")
 
 
+def _table_index(x) -> int:
+    """A JSON int, or a string holding one; int() alone would truncate a
+    float and accept a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def cmd_solve_ext1(args):
     f_table = {}
     if args.f:
         try:
             for item in json.loads(args.f):
-                f_table[(int(item["k"]), int(item["m"]))] = parse_rational(item["coeff"])
+                key = (_table_index(item["k"]), _table_index(item["m"]))
+                f_table[key] = parse_rational(item["coeff"])
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise InvalidInputError(f"bad --f table {args.f!r}: expected a JSON list "
                                     'like [{"k":0,"m":0,"coeff":"1"}]') from exc

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InvalidInputError, InvariantViolationError
+from .errors import InvalidInputError, InvariantViolationError, ResourceLimitError
 from .lattice import (
     CurveMatrix,
     curve_matrix,
@@ -44,6 +44,7 @@ from .lattice import (
     homogenize_matrix,
     kernel_basis,
     semigroup_contains,
+    term_cap,
 )
 from .rationals import as_rational, as_rational_vector, falling_factorial
 from .series import TruncatedSeries, TruncationFrontier
@@ -89,14 +90,18 @@ class MinimalSupportResult:
         return self.minimal
 
 
-def has_minimal_nsupp(v, A, search_bound: Optional[int] = None) -> MinimalSupportResult:
+#: per-coordinate radius of the box scan in :func:`has_minimal_nsupp`
+NSUPP_SEARCH_RADIUS = 160
+
+
+def has_minimal_nsupp(v, A) -> MinimalSupportResult:
     """Does no lattice translate of v have strictly smaller negative support?
 
     For two variables the answer is exact: the kernel is one-dimensional
     and nsupp(v + m u) is monotone in m on each coordinate, so only the
     crossing values of m need checking.  In more variables the search is a
-    box scan of radius ``search_bound`` per coordinate (default 160) and
-    the result records that it was a bounded search.
+    box scan of radius NSUPP_SEARCH_RADIUS per coordinate and the result
+    records that it was a bounded search.
     """
     if not isinstance(A, CurveMatrix):
         A = curve_matrix(A)
@@ -123,7 +128,7 @@ def has_minimal_nsupp(v, A, search_bound: Optional[int] = None) -> MinimalSuppor
                 return MinimalSupportResult(False, True)
         return MinimalSupportResult(True, True)
 
-    bound = search_bound if search_bound is not None else 160
+    bound = NSUPP_SEARCH_RADIUS
     frontier = TruncationFrontier.uniform(A.n, bound * A.n)
     for u in enumerate_offsets(A, frontier):
         if any(abs(x) > bound for x in u):
@@ -166,7 +171,7 @@ def gamma_series(v, system: HypergeometricSystem,
     if A.dot(v) != system.beta:
         raise InvalidInputError(f"A.v = {A.dot(v)} differs from beta = {system.beta}")
     terms = {}
-    for u in enumerate_offsets(A, frontier, v):
+    for u in enumerate_offsets(A, frontier):
         c = gamma_coefficient(v, u)
         if c != 0:
             terms[u] = c
@@ -177,42 +182,48 @@ def gamma_series(v, system: HypergeometricSystem,
 # exponent constructors
 
 
-def _plane_singular(a: int, b: int, beta: Fraction) -> list[ExponentVector]:
-    return [
-        ExponentVector((Fraction(beta - k * b, a), Fraction(k)), "singular", k)
-        for k in range(a)
-    ]
+def _exponent_axes(A: CurveMatrix, which: str) -> tuple[tuple[int, ...], int, int]:
+    """(entries, free, solved) for the ``which`` ("singular" or "generic")
+    exponents of A.
 
-
-def _plane_generic(a: int, b: int, beta: Fraction) -> list[ExponentVector]:
-    return [
-        ExponentVector((Fraction(j), Fraction(beta - j * a, b)), "generic", j)
-        for j in range(b)
-    ]
-
-
-def _smooth_singular(ent: tuple[int, ...], beta: Fraction) -> list[ExponentVector]:
+    Vector k is zero except in two coordinates: ``free`` holds k and
+    ``solved`` is fixed by A.v = beta, with k below entries[solved] (see
+    the table in the module docstring).  A general matrix uses the entries
+    of its homogenization.
+    """
+    ent = homogenize_matrix(A).entries if A.family == "general" else A.entries
     n = len(ent)
-    p = ent[n - 2]  # a_{n-1}
-    out = []
-    for j in range(p):
-        v = [Fraction(0)] * n
-        v[0] = Fraction(j)
-        v[n - 2] = Fraction(beta - j, p)
-        out.append(ExponentVector(tuple(v), "singular", j))
-    return out
+    if which == "generic":
+        return ent, 0, n - 1
+    return (ent, 1, 0) if n == 2 else (ent, 0, n - 2)
 
 
-def _smooth_generic(ent: tuple[int, ...], beta: Fraction) -> list[ExponentVector]:
-    n = len(ent)
-    q = ent[n - 1]  # a_n
-    out = []
-    for j in range(q):
-        v = [Fraction(0)] * n
-        v[0] = Fraction(j)
-        v[n - 1] = Fraction(beta - j, q)
-        out.append(ExponentVector(tuple(v), "generic", j))
-    return out
+def _exponent(ent: tuple[int, ...], free: int, solved: int, beta: Fraction,
+              which: str, k: int) -> ExponentVector:
+    v = [Fraction(0)] * len(ent)
+    v[free] = Fraction(k)
+    v[solved] = Fraction(beta - k * ent[free], ent[solved])
+    return ExponentVector(tuple(v), which, k)
+
+
+def _exponent_list(A: CurveMatrix, beta: Fraction, which: str) -> list[ExponentVector]:
+    """The ``which`` exponents of (A, beta).  A count above the term cap
+    raises ResourceLimitError before any vector is built."""
+    ent, free, solved = _exponent_axes(A, which)
+    count = ent[solved]
+    if count > term_cap():
+        raise ResourceLimitError(f"{count} {which} exponents exceed the term cap")
+    return [_exponent(ent, free, solved, beta, which, k) for k in range(count)]
+
+
+def _polynomial_exponent(A: CurveMatrix, beta: Fraction) -> ExponentVector:
+    """The one singular exponent that is a nonnegative integer vector, for
+    beta in the semigroup N A.  Its index k solves
+    k * entries[free] = beta mod entries[solved]; the two entries are
+    coprime (plane) or entries[free] = 1."""
+    ent, free, solved = _exponent_axes(A, "singular")
+    k = int(beta) * pow(ent[free], -1, ent[solved]) % ent[solved]
+    return _exponent(ent, free, solved, beta, "singular", k)
 
 
 def singular_exponents(system: HypergeometricSystem) -> list[ExponentVector]:
@@ -221,26 +232,17 @@ def singular_exponents(system: HypergeometricSystem) -> list[ExponentVector]:
     plane: a vectors; smooth/homogenized: a_{n-1} vectors.  For a general
     matrix the exponents of the homogenized matrix are returned (one extra
     coordinate); their series restrict to solutions at x_0 = 0 for generic
-    parameters.
+    parameters.  Raises ResourceLimitError above the term cap.
     """
-    A, beta = system.matrix, system.beta
-    if A.family == "plane":
-        return _plane_singular(*A.entries, beta)
-    if A.family in ("smooth", "homogenized"):
-        return _smooth_singular(A.entries, beta)
-    Ah = homogenize_matrix(A)
-    return _smooth_singular(Ah.entries, beta)
+    return _exponent_list(system.matrix, system.beta, "singular")
 
 
 def generic_exponents(system: HypergeometricSystem) -> list[ExponentVector]:
-    """Exponents of the solution basis at a generic point (b resp. a_n many)."""
-    A, beta = system.matrix, system.beta
-    if A.family == "plane":
-        return _plane_generic(*A.entries, beta)
-    if A.family in ("smooth", "homogenized"):
-        return _smooth_generic(A.entries, beta)
-    Ah = homogenize_matrix(A)
-    return _smooth_generic(Ah.entries, beta)
+    """Exponents of the solution basis at a generic point (b resp. a_n many).
+
+    Raises ResourceLimitError above the term cap.
+    """
+    return _exponent_list(system.matrix, system.beta, "generic")
 
 
 # ---------------------------------------------------------------------------

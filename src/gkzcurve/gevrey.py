@@ -33,8 +33,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InvalidInputError
-from .gamma import gamma_coefficient, _beta_in_semigroup, _plane_split
-from .lattice import CurveMatrix, curve_matrix, homogenize_matrix
+from .gamma import (
+    _beta_in_semigroup,
+    _polynomial_exponent,
+    gamma_coefficient,
+    restrict_series_x0,
+)
+from .lattice import CurveMatrix, _lattice_points, curve_matrix, homogenize_matrix
 from .rationals import as_rational, log_abs
 from .series import TruncatedSeries, TruncationFrontier
 
@@ -371,61 +376,30 @@ def polynomial_solution(A, beta) -> Optional[tuple[int, TruncatedSeries]]:
     """The (unique up to scale) polynomial solution, or None.
 
     Present exactly when beta lies in the semigroup N A.  Returns
-    (q, series) where q indexes the singular exponent v^q whose Gamma
-    series terminates; the series is exact (complete) and can be checked
-    against the system without frontier loss.
+    (q, series): the base is v^q, the one singular exponent that is a
+    nonnegative integer vector, and its Gamma series terminates.  The
+    monomials are the x >= 0 with A.x = beta, each with coefficient
+    Gamma[v^q; x - v^q].  The series is exact (complete) and can be checked
+    against the system without frontier loss.  A general matrix restricts
+    the polynomial of its homogenization to x_0 = 0.
     """
     if not isinstance(A, CurveMatrix):
         A = curve_matrix(A)
     beta = as_rational(beta)
     if not _beta_in_semigroup(A, beta):
         return None
-    nbeta = int(beta)
-
-    if A.family == "plane":
-        a, b = A.entries
-        q, m0 = _plane_split(a, b, nbeta)
-        v = (Fraction(m0), Fraction(q))
-        offsets = [(-b * m, a * m) for m in range(m0 // b + 1)]
-    elif A.family in ("smooth", "homogenized"):
-        ent = A.entries
-        n = len(ent)
-        p = ent[n - 2]
-        q = nbeta % p
-        m0 = (nbeta - q) // p
-        v = [Fraction(0)] * n
-        v[0] = Fraction(q)
-        v[n - 2] = Fraction(m0)
-        v = tuple(v)
-        # enumerate every monomial exponent m >= 0 with <A, m> = beta and
-        # record its offset from the base exponent v
-        offsets = []
-
-        def rec(pos, m, cost):
-            if pos == n:
-                # first coordinate has weight 1 and takes the remainder
-                m = [nbeta - cost] + m[1:]
-                offsets.append(tuple(mi - int(vi) for mi, vi in zip(m, v)))
-                return
-            mi = 0
-            while cost + ent[pos] * mi <= nbeta:
-                rec(pos + 1, m + [mi], cost + ent[pos] * mi)
-                mi += 1
-        rec(1, [0], 0)
-    else:
-        # general family: restrict the homogenized polynomial (generic beta)
-        from .gamma import restrict_series_x0
-        got = polynomial_solution(homogenize_matrix(A), beta)
-        if got is None:
-            return None
-        q, f = got
+    if A.family == "general":
+        q, f = polynomial_solution(homogenize_matrix(A), beta)
         return q, restrict_series_x0(f)
 
+    v = _polynomial_exponent(A, beta)
+    nbeta = int(beta)
     terms = {}
-    for u in offsets:
+    for x in _lattice_points(A.entries, nbeta, A.entries, nbeta, signed=False):
+        u = tuple(xi - int(vi) for xi, vi in zip(x, v))
         c = gamma_coefficient(v, u)
         if c != 0:
             terms[u] = c
     span = max((sum(abs(x) for x in u) for u in terms), default=0)
     frontier = TruncationFrontier.uniform(len(v), span)
-    return q, TruncatedSeries(v, terms, frontier, exact=True)
+    return v.index, TruncatedSeries(v.v, terms, frontier, exact=True)

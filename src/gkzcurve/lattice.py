@@ -7,8 +7,10 @@ need three pieces of integer data from it:
 
 * a basis of the rank n-1 lattice L_A = ker(A : Z^n -> Z),
 * membership in the numerical semigroup N a_1 + ... + N a_n, with witnesses,
-* enumeration of lattice points inside a weighted L1 ball (the "frontier"
-  that truncates every series in the package).
+* enumeration of the integer points of an affine hyperplane inside a
+  weighted L1 ball: the kernel points of the "frontier" that truncates
+  every series in the package, and the finite sets indexing polynomial
+  solutions, Delta_j and the Ext^1 generator.
 
 Supported matrix families:
 
@@ -274,53 +276,64 @@ def minimal_delta(A: CurveMatrix, i: int) -> tuple[int, tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# frontier enumeration
+# bounded lattice points
 
 
-def enumerate_offsets(A: CurveMatrix, frontier, v=None) -> list[tuple[int, ...]]:
-    """All u in L_A with sum_i weight_i |u_i| <= frontier.bound, sorted.
+def _lattice_points(coeffs: Sequence[int], rhs: int, weight: Sequence[int],
+                    bound: int, signed: bool) -> list[tuple[int, ...]]:
+    """Every integer x with coeffs.x = rhs and sum_i weight_i |x_i| <= bound,
+    with x >= 0 unless ``signed``, sorted.
 
-    Complete within the frontier: coordinates 1..n-1 range over the weighted
-    ball and coordinate 0 is solved from A.u = 0 (with a divisibility
-    check), so no kernel point inside the ball is missed.  ``v`` is accepted
-    for interface symmetry with the series constructors but plays no role
-    in which offsets exist.
+    The one bounded-lattice enumerator of the package.  Coordinates
+    1..n-1 range over the weighted ball (over its nonnegative part unless
+    ``signed``) and coordinate 0 is solved from the equation, with a
+    divisibility check, so nothing inside the ball is missed; coeffs[0]
+    must be nonzero.
 
     Raises ResourceLimitError if more than the term cap would be returned.
     """
-    w = frontier.weight
-    bound = frontier.bound
-    if len(w) != A.n:
-        raise InvalidInputError("frontier dimension mismatch")
     if bound < 0:
         return []
     cap = term_cap()
-    ent = A.entries
-    n = A.n
+    n = len(coeffs)
+    c0, w0 = coeffs[0], weight[0]
+    lo0 = -(bound // w0) if signed else 0
     out: list[tuple[int, ...]] = []
 
-    def rec(pos: int, partial: list[int], used: int, adot: int) -> None:
-        # pos runs over coordinates 1..n-1; coordinate 0 is determined
-        # from A.u = 0, so adot tracks sum_{i >= 1} a_i u_i.
+    def rec(pos: int, partial: list[int], used: int, rest: int) -> None:
+        # rest = rhs - sum_{i >= 1} coeffs_i x_i, which c0 x0 must equal
         if pos == n:
-            if adot % ent[0]:
+            if rest % c0:
                 return
-            u0 = -(adot // ent[0])
-            if used + w[0] * abs(u0) > bound:
+            x0 = rest // c0
+            if x0 < lo0 or used + w0 * abs(x0) > bound:
                 return
             if len(out) >= cap:
-                raise ResourceLimitError("offset enumeration exceeded the term cap")
-            out.append((u0, *partial))
+                raise ResourceLimitError("lattice enumeration exceeded the term cap")
+            out.append((x0, *partial))
             return
-        lim = (bound - used) // w[pos]
-        for x in range(-lim, lim + 1):
+        lim = (bound - used) // weight[pos]
+        for x in range(-lim if signed else 0, lim + 1):
             partial.append(x)
-            rec(pos + 1, partial, used + w[pos] * abs(x), adot + ent[pos] * x)
+            rec(pos + 1, partial, used + weight[pos] * abs(x), rest - coeffs[pos] * x)
             partial.pop()
 
-    rec(1, [], 0, 0)
+    rec(1, [], 0, rhs)
     out.sort()
     return out
+
+
+def enumerate_offsets(A: CurveMatrix, frontier) -> list[tuple[int, ...]]:
+    """All u in L_A with sum_i weight_i |u_i| <= frontier.bound, sorted.
+
+    The kernel points of the frontier ball, from :func:`_lattice_points`
+    with coefficients A, right-hand side 0 and signed coordinates.
+
+    Raises ResourceLimitError if more than the term cap would be returned.
+    """
+    if len(frontier.weight) != A.n:
+        raise InvalidInputError("frontier dimension mismatch")
+    return _lattice_points(A.entries, 0, frontier.weight, frontier.bound, signed=True)
 
 
 def delta_j_set(Aprime: CurveMatrix, j: int, degree_bound: int) -> list[tuple[int, ...]]:
@@ -343,19 +356,5 @@ def delta_j_set(Aprime: CurveMatrix, j: int, degree_bound: int) -> list[tuple[in
         raise InvalidInputError(f"j must lie in 0..{base[pivot] - 1}")
     if degree_bound < 0:
         raise InvalidInputError("degree bound must be nonnegative")
-    out: list[tuple[int, ...]] = []
-
-    def rec(pos: int, partial: list[int], total: int) -> None:
-        if pos == n:
-            lhs = sum(base[i] * partial[i] for i in range(n) if i != pivot)
-            if lhs == j + base[pivot] * partial[pivot]:
-                out.append(tuple(partial))
-            return
-        for m in range(degree_bound - total + 1):
-            partial.append(m)
-            rec(pos + 1, partial, total + m)
-            partial.pop()
-
-    rec(0, [], 0)
-    out.sort()
-    return out
+    coeffs = tuple(-a if i == pivot else a for i, a in enumerate(base))
+    return _lattice_points(coeffs, j, (1,) * n, degree_bound, signed=False)

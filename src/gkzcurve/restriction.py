@@ -27,8 +27,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidInputError, InvariantViolationError
-from .gamma import modified_exponent
-from .lattice import CurveMatrix, curve_matrix, homogenize_matrix, minimal_delta
+from .gamma import gamma_coefficient, modified_exponent
+from .lattice import (
+    CurveMatrix,
+    _lattice_points,
+    curve_matrix,
+    homogenize_matrix,
+    minimal_delta,
+)
 from .rationals import as_rational, falling_factorial_1d, format_rational
 from .series import TruncatedSeries, TruncationFrontier, WeylOperator
 from .system import HypergeometricSystem, build_system
@@ -301,10 +307,12 @@ def ext1_generator(A, beta) -> TruncatedSeries:
             * x_1^{e_1(m)} x_2^{m_2} .. x_{n-1}^{-1} x_n^{m_n},
 
     where e_1(m) = beta - sum_{i != n-1} a_i m_i and Mtilde collects the
-    finitely many m with e_1(m) >= 0.  It represents a nonzero Ext^1
-    class: phi_vtilde is killed by the Euler operator and by every other
-    toric generator, but not by P_{n-1}.  (Cross-checked in the test suite
-    against applying P_{n-1} to the truncated modified series.)
+    finitely many m with e_1(m) >= 0.  The coefficient of x^w is
+    Gamma[vtilde; w - vtilde] for the modified exponent
+    vtilde = (beta + a_{n-1}, 0, ..., 0, -1, 0).  It represents a nonzero
+    Ext^1 class: phi_vtilde is killed by the Euler operator and by every
+    other toric generator, but not by P_{n-1}.  (Cross-checked in the test
+    suite against applying P_{n-1} to the truncated modified series.)
     """
     if not isinstance(A, CurveMatrix):
         A = curve_matrix(A)
@@ -316,34 +324,15 @@ def ext1_generator(A, beta) -> TruncatedSeries:
     nbeta = int(beta)
     ent = A.entries
     n = len(ent)
-    p = ent[n - 2]
-    top = nbeta
-    others = [i for i in range(1, n) if i != n - 2]
-    top_fact = math.factorial(nbeta + p)
-
-    base = [Fraction(0)] * n
-    base[n - 2] = Fraction(-1)
+    base = [0] * n
+    base[n - 2] = -1
+    vtilde = list(base)
+    vtilde[0] = nbeta + ent[n - 2]
+    kept = ent[:n - 2] + ent[n - 1:]
     terms: dict[tuple[int, ...], Fraction] = {}
-
-    def rec(pos: int, m: list[int], cost: int) -> None:
-        if pos == len(others):
-            e1 = top - cost
-            denom = math.factorial(e1)
-            for idx, i in enumerate(others):
-                denom *= math.factorial(m[idx])
-            u = [0] * n
-            u[0] = e1
-            for idx, i in enumerate(others):
-                u[i] = m[idx]
-            terms[tuple(u)] = Fraction(top_fact, denom)
-            return
-        i = others[pos]
-        mi = 0
-        while cost + ent[i] * mi <= top:
-            rec(pos + 1, m + [mi], cost + ent[i] * mi)
-            mi += 1
-
-    rec(0, [], 0)
+    for m in _lattice_points(kept, nbeta, kept, nbeta, signed=False):
+        u = m[:n - 2] + (0,) + m[n - 2:]  # column n-2 held at 0
+        terms[u] = gamma_coefficient(vtilde, [b + x - t for b, x, t in zip(base, u, vtilde)])
     span = max(sum(abs(x) for x in u) for u in terms) + 1
     frontier = TruncationFrontier.uniform(n, span)
-    return TruncatedSeries(tuple(base), terms, frontier, exact=True)
+    return TruncatedSeries(tuple(Fraction(x) for x in base), terms, frontier, exact=True)

@@ -46,11 +46,12 @@ class HypergeometricSystem:
         return self.matrix.n
 
 
-def _general_binomials(A: CurveMatrix, degree_bound: int) -> list[WeylOperator]:
-    """box_u for kernel vectors with max(|u_+|, |u_-|) <= degree_bound.
+def _general_binomials(A: CurveMatrix) -> list[WeylOperator]:
+    """box_u for kernel vectors with max(|u_+|, |u_-|) <= 2 max(A).
 
     One representative per {u, -u} pair (the two binomials differ by sign).
     """
+    degree_bound = 2 * max(A.entries)
     frontier = TruncationFrontier.uniform(A.n, 2 * degree_bound)
     seen = set()
     ops = []
@@ -69,13 +70,12 @@ def _general_binomials(A: CurveMatrix, degree_bound: int) -> list[WeylOperator]:
     return ops
 
 
-def build_system(A, beta, degree_bound: int | None = None) -> HypergeometricSystem:
+def build_system(A, beta) -> HypergeometricSystem:
     """Assemble the hypergeometric system for (A, beta).
 
-    ``A`` may be a CurveMatrix or a plain entry sequence.  ``degree_bound``
-    only matters for the general family, where it caps the support degree
-    of the toric binomials; it defaults to twice the largest entry and must
-    be at least the largest entry.
+    ``A`` may be a CurveMatrix or a plain entry sequence.  For the general
+    family the toric binomials are those of support degree at most twice
+    the largest entry.
     """
     if not isinstance(A, CurveMatrix):
         A = curve_matrix(A)
@@ -113,11 +113,7 @@ def build_system(A, beta, degree_bound: int | None = None) -> HypergeometricSyst
             )
         extra = tuple(contiguity)
     elif A.family == "general":
-        if degree_bound is None:
-            degree_bound = 2 * max(ent)
-        if degree_bound < max(ent):
-            raise InvalidInputError("degree bound below the largest matrix entry")
-        toric = _general_binomials(A, degree_bound)
+        toric = _general_binomials(A)
     else:  # pragma: no cover - curve_matrix already validates
         raise InvalidInputError(f"unsupported family {A.family!r}")
 

@@ -95,7 +95,8 @@ def test_exit_codes(capsys):
     code, _, _ = run(capsys, "solve-ext1", "-A", "2,3", "-b", "1", "--epsilon", "0")
     assert code == 2
     for bad_f in ["notjson", '[{"k":0}]', '{"k":0}', '[{"k":"x","m":0,"coeff":"1"}]',
-                  '[{"k":0,"m":0,"coeff":1}]']:
+                  '[{"k":0,"m":0,"coeff":1}]', '[{"k":1.9,"m":0,"coeff":"1"}]',
+                  '[{"k":true,"m":0,"coeff":"1"}]', '[{"k":0,"m":2.0,"coeff":"1"}]']:
         code, _, err = run(capsys, "solve-ext1", "-A", "2,3", "-b", "1", "--f", bad_f)
         assert code == 2 and err.startswith("error:"), bad_f
     code, _, err = run(capsys, "solve-ext1", "-A", "2,3", "-b", "1", "--terms", "-3")
@@ -113,6 +114,18 @@ def test_term_cap_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "series", "-A", "2,3", "-b", "1",
                        "--point", "singular", "--index", "1", "--bound", "40")
     assert code == 3 and "resource" in err
+
+
+def test_term_cap_refuses_exponent_lists_and_polynomials(capsys, monkeypatch):
+    monkeypatch.setenv("GKZ_TERM_CAP", "100")
+    # 1001 generic exponents; 200 singular ones
+    for matrix in ("2,1001", "1,200,201"):
+        code, out, err = run(capsys, "exponents", "-A", matrix, "-b", "1")
+        assert code == 3 and out == "" and "resource" in err, matrix
+    monkeypatch.setenv("GKZ_TERM_CAP", "200")
+    # 541 monomials x >= 0 with x_1 + 2 x_2 + 5 x_3 = 100
+    code, out, err = run(capsys, "polysol", "-A", "1,2,5", "-b", "100")
+    assert code == 3 and out == "" and "resource" in err
 
 
 def test_import_leaves_numpy_out():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gkzcurve.errors import InvalidInputError, ResourceLimitError
 from gkzcurve.lattice import (
+    _lattice_points,
     curve_matrix,
     delta_j_set,
     enumerate_offsets,
@@ -225,8 +226,60 @@ def test_enumerate_offsets_cap(monkeypatch):
         enumerate_offsets(A, TruncationFrontier.uniform(2, 40))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 3)), min_size=1, max_size=3),
+    c0=st.integers(-4, 4).filter(bool),
+    w0=st.integers(1, 3),
+    rhs=st.integers(-6, 6),
+    bound=st.integers(-1, 8),
+    signed=st.booleans(),
+)
+def test_lattice_points_match_box_scan(data, c0, w0, rhs, bound, signed):
+    coeffs = (c0,) + tuple(c for c, _ in data)
+    weight = (w0,) + tuple(w for _, w in data)
+    box = [range(-(bound // w) if signed else 0, bound // w + 1) if bound >= 0 else range(0)
+           for w in weight]
+    expected = sorted(
+        x for x in itertools.product(*box)
+        if sum(c * xi for c, xi in zip(coeffs, x)) == rhs
+        and sum(w * abs(xi) for w, xi in zip(weight, x)) <= bound
+    )
+    assert _lattice_points(coeffs, rhs, weight, bound, signed) == expected
+
+
 # ---------------------------------------------------------------------------
 # delta_j sets
+
+
+def delta_j_simplex(Aprime, j, degree_bound):
+    """Delta_j by the simplex recursion over all n coordinates (test oracle)."""
+    base = Aprime.base.entries
+    n = len(base)
+    pivot = n - 2
+    out = []
+
+    def rec(pos, partial, total):
+        if pos == n:
+            lhs = sum(base[i] * partial[i] for i in range(n) if i != pivot)
+            if lhs == j + base[pivot] * partial[pivot]:
+                out.append(tuple(partial))
+            return
+        for m in range(degree_bound - total + 1):
+            partial.append(m)
+            rec(pos + 1, partial, total + m)
+            partial.pop()
+
+    rec(0, [], 0)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("entries", [(2, 3), (3, 4, 5), (2, 5, 7), (4, 5, 6, 7), (3, 5, 7)])
+def test_delta_j_set_matches_simplex_oracle(entries):
+    Ah = homogenize_matrix(curve_matrix(entries, family="general"))
+    for j in range(entries[-2]):
+        for degree_bound in (0, 1, 5, 11):
+            assert delta_j_set(Ah, j, degree_bound) == delta_j_simplex(Ah, j, degree_bound)
 
 
 def test_delta_j_set_membership_and_closure():

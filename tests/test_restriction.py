@@ -234,6 +234,44 @@ def test_ext1_generator_matches_operator_application(entries, beta):
         assert all(e >= 0 and e.denominator == 1 for i, e in enumerate(exp) if i != n - 2)
 
 
+def ext1_factorial_terms(entries, beta):
+    """The terms of ext1_generator from (beta + a_{n-1})! / (e_1! prod m_i!)
+    over a recursion on m (test oracle)."""
+    n = len(entries)
+    others = [i for i in range(1, n) if i != n - 2]
+    top = math.factorial(beta + entries[n - 2])
+    terms = {}
+
+    def rec(pos, m, cost):
+        if pos == len(others):
+            e1 = beta - cost
+            denom = math.factorial(e1)
+            for mi in m:
+                denom *= math.factorial(mi)
+            u = [0] * n
+            u[0] = e1
+            for i, mi in zip(others, m):
+                u[i] = mi
+            terms[tuple(u)] = F(top, denom)
+            return
+        i = others[pos]
+        mi = 0
+        while cost + entries[i] * mi <= beta:
+            rec(pos + 1, m + [mi], cost + entries[i] * mi)
+            mi += 1
+
+    rec(0, [], 0)
+    return terms
+
+
+@pytest.mark.parametrize("entries", [(1, 2, 3), (1, 2, 5), (1, 3, 7), (1, 3, 4, 5),
+                                     (1, 2, 3, 7), (1, 4, 5, 6, 7)])
+def test_ext1_generator_matches_factorial_formula(entries):
+    for beta in range(12):
+        gen = ext1_generator(curve_matrix(entries), beta)
+        assert gen.terms == ext1_factorial_terms(entries, beta)
+
+
 def test_ext1_generator_single_monomial_case():
     gen = ext1_generator((1, 2, 5), 0)
     assert gen.exact

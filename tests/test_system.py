@@ -1,8 +1,5 @@
 from fractions import Fraction as F
 
-import pytest
-
-from gkzcurve.errors import InvalidInputError
 from gkzcurve.lattice import curve_matrix, homogenize_matrix
 from gkzcurve.series import WeylOperator
 from gkzcurve.system import build_system
@@ -54,8 +51,3 @@ def test_general_system_binomials_lie_in_kernel():
         u = tuple(a - b for a, b in zip(q1, q2))
         assert A.dot(u) == 0
         assert max(sum(q1), sum(q2)) <= 2 * max(A.entries)
-
-
-def test_general_degree_bound_validation():
-    with pytest.raises(InvalidInputError):
-        build_system((3, 4, 5), 0, degree_bound=2)
