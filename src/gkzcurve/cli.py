@@ -17,7 +17,6 @@ from .gamma import (
     generic_exponents,
     has_minimal_nsupp,
     modified_series,
-    restrict_series_x0,
     singular_exponents,
 )
 from .gevrey import (

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InvalidInputError, InvariantViolationError, ResourceLimitError
 from .lattice import (
@@ -46,9 +46,9 @@ from .lattice import (
     semigroup_contains,
     term_cap,
 )
-from .rationals import as_rational, as_rational_vector, falling_factorial
+from .rationals import as_rational_vector, falling_factorial
 from .series import TruncatedSeries, TruncationFrontier
-from .system import HypergeometricSystem, build_system
+from .system import HypergeometricSystem
 
 
 @dataclass(frozen=True)
@@ -256,23 +256,13 @@ def _beta_in_semigroup(A: CurveMatrix, beta: Fraction) -> bool:
     return semigroup_contains(ent, int(beta)).member
 
 
-def _plane_split(a: int, b: int, nbeta: int) -> tuple[int, int]:
-    """(q, m0) with nbeta = q b + a m0, 0 <= q < a and m0 >= 0, for a plane
-    matrix (a b) and nbeta in its semigroup."""
-    q = next(
-        k for k in range(a)
-        if nbeta - k * b >= 0 and (nbeta - k * b) % a == 0
-    )
-    return q, (nbeta - q * b) // a
-
-
 def modified_exponent(system: HypergeometricSystem) -> Optional[tuple[int, ExponentVector]]:
     """(q, vtilde): the lattice translate of the polynomial exponent whose
     negative support is nonempty and *not* minimal.  None when beta is not
-    in the semigroup N A.
+    in the semigroup N A.  q is the index of the polynomial exponent.
 
-    plane (a b): beta = q b + a m0 with 0 <= q < a, m0 in N; with
-    m' = ceil((m0+1)/b), vtilde = (m0 - b m', q + a m').
+    plane (a b): the polynomial exponent is (m0, q), beta = q b + a m0;
+    with m' = ceil((m0+1)/b), vtilde = (m0 - b m', q + a m').
 
     smooth (1 a_2 .. a_n): q = beta mod a_{n-1} and
     vtilde = (beta + a_{n-1}, 0, ..., 0, -1, 0).
@@ -282,22 +272,18 @@ def modified_exponent(system: HypergeometricSystem) -> Optional[tuple[int, Expon
     A, beta = system.matrix, system.beta
     if not _beta_in_semigroup(A, beta):
         return None
-    nbeta = int(beta)
+    poly = _polynomial_exponent(A, beta)
+    q = poly.index
+    ent = _exponent_axes(A, "singular")[0]
     if A.family == "plane":
-        a, b = A.entries
-        q, m0 = _plane_split(a, b, nbeta)
+        a, b = ent
+        m0 = int(poly.v[0])
         mprime = -((m0 + 1) // -b)  # ceil((m0+1)/b)
         v = (Fraction(m0 - b * mprime), Fraction(q + a * mprime))
         return q, ExponentVector(v, "modified", q)
-    if A.family in ("smooth", "homogenized"):
-        ent = A.entries
-    else:
-        ent = homogenize_matrix(A).entries
     n = len(ent)
-    p = ent[n - 2]
-    q = nbeta % p
     v = [Fraction(0)] * n
-    v[0] = Fraction(nbeta + p)
+    v[0] = beta + ent[n - 2]
     v[n - 2] = Fraction(-1)
     return q, ExponentVector(tuple(v), "modified", q)
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidInputError, InvariantViolationError
-from .gamma import gamma_coefficient, modified_exponent
+from .gamma import gamma_coefficient
 from .lattice import (
     CurveMatrix,
     _lattice_points,
@@ -36,7 +36,7 @@ from .lattice import (
     minimal_delta,
 )
 from .rationals import as_rational, falling_factorial_1d, format_rational
-from .series import TruncatedSeries, TruncationFrontier, WeylOperator
+from .series import TruncatedSeries, TruncationFrontier
 from .system import HypergeometricSystem, build_system
 
 

@@ -139,6 +139,9 @@ def test_modified_exponent_smooth():
     assert got is not None
     q, vt = got
     assert q == 1 and vt.v == (F(5), F(-1), F(0))
+    # general (3 4 5): on the homogenized matrix (1 3 4 5), q = 3 mod 4
+    q, vt = modified_exponent(build_system((3, 4, 5), 3))
+    assert q == 3 and vt.v == (F(7), F(0), F(-1), F(0))
 
 
 def test_modified_series_not_minimal_but_euler_killed():
