@@ -36,7 +36,7 @@ from .lattice import (
     delta_j_set,
     enumerate_offsets,
     homogenize_matrix,
-    kernel_basis,
+    in_semigroup,
     minimal_delta,
     semigroup_contains,
 )
@@ -45,7 +45,6 @@ from .rationals import (
     falling_factorial,
     falling_factorial_1d,
     format_rational,
-    log_factorial,
     parse_rational,
 )
 from .restriction import (

@@ -31,7 +31,6 @@ that exceptional image is the Ext^1 witness used in the restriction module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -42,8 +41,7 @@ from .lattice import (
     curve_matrix,
     enumerate_offsets,
     homogenize_matrix,
-    kernel_basis,
-    semigroup_contains,
+    in_semigroup,
     term_cap,
 )
 from .rationals import as_rational_vector, falling_factorial
@@ -84,59 +82,33 @@ def nsupp(v) -> frozenset[int]:
 class MinimalSupportResult:
     minimal: bool
     exact: bool
-    search_bound: Optional[int] = None
 
     def __bool__(self) -> bool:
         return self.minimal
 
 
-#: per-coordinate radius of the box scan in :func:`has_minimal_nsupp`
-NSUPP_SEARCH_RADIUS = 160
-
-
 def has_minimal_nsupp(v, A) -> MinimalSupportResult:
     """Does no lattice translate of v have strictly smaller negative support?
 
-    For two variables the answer is exact: the kernel is one-dimensional
-    and nsupp(v + m u) is monotone in m on each coordinate, so only the
-    crossing values of m need checking.  In more variables the search is a
-    box scan of radius NSUPP_SEARCH_RADIUS per coordinate and the result
-    records that it was a bounded search.
+    Exact in every family.  Let S = nsupp(v) be nonempty and j in S.  Any
+    other coordinate k that is in S or is not an integer is free: the
+    translate v + m (a_k e_j - a_j e_k) clears j for large m while k stays a
+    negative integer resp. a non-integer, so v is not minimal.  With no free
+    coordinate, S = {j} and v is an integer vector, so a translate with
+    smaller support is a point w of N^n with A.w = A.v: v is not minimal
+    exactly when beta = A.v lies in the semigroup N A.
     """
     if not isinstance(A, CurveMatrix):
         A = curve_matrix(A)
     v = _vec(v)
     if len(v) != A.n:
         raise InvalidInputError("exponent dimension mismatch")
-    base_supp = nsupp(v)
-    if not base_supp:
+    supp = nsupp(v)
+    if not supp:
         return MinimalSupportResult(True, True)
-
-    if A.n == 2:
-        (g,) = kernel_basis(A)
-        candidates = {0}
-        for i in (0, 1):
-            if v[i].denominator != 1 or g[i] == 0:
-                continue
-            # m where coordinate i crosses between >= 0 and <= -1
-            crossing = Fraction(-v[i], g[i])
-            m0 = math.floor(crossing)
-            candidates.update({m0 - 1, m0, m0 + 1})
-        for m in candidates:
-            supp = nsupp(tuple(x + m * y for x, y in zip(v, g)))
-            if supp < base_supp:
-                return MinimalSupportResult(False, True)
-        return MinimalSupportResult(True, True)
-
-    bound = NSUPP_SEARCH_RADIUS
-    frontier = TruncationFrontier.uniform(A.n, bound * A.n)
-    for u in enumerate_offsets(A, frontier):
-        if any(abs(x) > bound for x in u):
-            continue
-        supp = nsupp(tuple(a + b for a, b in zip(v, u)))
-        if supp < base_supp:
-            return MinimalSupportResult(False, False, bound)
-    return MinimalSupportResult(True, False, bound)
+    if len(supp) >= 2 or any(x.denominator != 1 for x in v):
+        return MinimalSupportResult(False, True)
+    return MinimalSupportResult(not in_semigroup(A.entries, int(A.dot(v))), True)
 
 
 def gamma_coefficient(v, u) -> Fraction:
@@ -250,10 +222,8 @@ def generic_exponents(system: HypergeometricSystem) -> list[ExponentVector]:
 
 
 def _beta_in_semigroup(A: CurveMatrix, beta: Fraction) -> bool:
-    if beta.denominator != 1 or beta < 0:
-        return False
     ent = A.base.entries if A.family == "homogenized" and A.base else A.entries
-    return semigroup_contains(ent, int(beta)).member
+    return beta.denominator == 1 and in_semigroup(ent, int(beta))
 
 
 def modified_exponent(system: HypergeometricSystem) -> Optional[tuple[int, ExponentVector]]:

@@ -32,14 +32,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .gamma import (
     _beta_in_semigroup,
     _polynomial_exponent,
     gamma_coefficient,
     restrict_series_x0,
 )
-from .lattice import CurveMatrix, _lattice_points, curve_matrix, homogenize_matrix
+from .lattice import CurveMatrix, _lattice_points, curve_matrix, homogenize_matrix, term_cap
 from .rationals import as_rational, log_abs
 from .series import TruncatedSeries, TruncationFrontier
 
@@ -381,13 +381,17 @@ def polynomial_solution(A, beta) -> Optional[tuple[int, TruncatedSeries]]:
     monomials are the x >= 0 with A.x = beta, each with coefficient
     Gamma[v^q; x - v^q].  The series is exact (complete) and can be checked
     against the system without frontier loss.  A general matrix restricts
-    the polynomial of its homogenization to x_0 = 0.
+    the polynomial of its homogenization to x_0 = 0.  Raises
+    ResourceLimitError for beta above the term cap, since the monomials fill
+    a ball of radius beta.
     """
     if not isinstance(A, CurveMatrix):
         A = curve_matrix(A)
     beta = as_rational(beta)
     if not _beta_in_semigroup(A, beta):
         return None
+    if beta > term_cap():
+        raise ResourceLimitError(f"polynomial solution for beta = {beta} exceeds the term cap")
     if A.family == "general":
         q, f = polynomial_solution(homogenize_matrix(A), beta)
         return q, restrict_series_x0(f)

@@ -3,9 +3,8 @@
 Everything here concerns a single integer row matrix A = (a_1 ... a_n) with
 positive entries.  Such a row cuts out an affine monomial curve, and the
 constructions downstream (toric operators, Gamma series, restrictions) only
-need three pieces of integer data from it:
+need two pieces of integer data from it:
 
-* a basis of the rank n-1 lattice L_A = ker(A : Z^n -> Z),
 * membership in the numerical semigroup N a_1 + ... + N a_n, with witnesses,
 * enumeration of the integer points of an affine hyperplane inside a
   weighted L1 ball: the kernel points of the "frontier" that truncates
@@ -27,7 +26,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import InvalidInputError, InvariantViolationError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError
 
 #: default cap on semigroup targets / enumerated lattice points
 DEFAULT_TERM_CAP = 10**6
@@ -135,46 +134,6 @@ def homogenize_matrix(A: CurveMatrix) -> CurveMatrix:
 
 
 # ---------------------------------------------------------------------------
-# lattice kernel
-
-
-def kernel_basis(A: CurveMatrix) -> list[tuple[int, ...]]:
-    """A Z-basis of L_A = ker(A), in a family-specific normal form.
-
-    * plane (a b): the single generator (b, -a).
-    * smooth / homogenized (1 e_2 ... e_N): one row per column i = 2..N;
-      row i has entry 1 in position i and -e_i in position 1, except row
-      N-1 which is flipped to (+e_{N-1}, 0, ..., -1, 0).  (This is the sign
-      split under which the modified exponent arises as v + m * u^{N-1}.)
-
-    A general matrix has no such normal form here and is rejected.  Every
-    returned vector u satisfies A.u = 0.
-    """
-    ent = A.entries
-    n = A.n
-    if A.family == "plane":
-        a, b = ent
-        basis = [(b, -a)]
-    elif A.family in ("smooth", "homogenized"):
-        basis = []
-        for i in range(1, n):  # 0-based column index of e_{i+1}
-            row = [0] * n
-            if i == n - 2:
-                row[0] = ent[i]
-                row[i] = -1
-            else:
-                row[0] = -ent[i]
-                row[i] = 1
-            basis.append(tuple(row))
-    else:
-        raise InvalidInputError(f"no kernel basis for the {A.family} family")
-    for u in basis:
-        if A.dot(u) != 0:
-            raise InvariantViolationError(f"basis vector {u} not in ker {A}")
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # numerical semigroup membership
 
 
@@ -247,6 +206,21 @@ def semigroup_contains(generators: Sequence[int], target: int) -> SemigroupCerti
         counts.append(c)
         t -= c * g
     return SemigroupCertificate(gens, target, True, tuple(counts))
+
+
+def in_semigroup(generators: Sequence[int], target: int) -> bool:
+    """Is target in sum_i N g_i?
+
+    When gcd(g) = 1, Schur's bound on the Frobenius number (Brauer, Amer. J.
+    Math. 64, 1942) puts every target t >= (g_min - 1)(g_max - 1) in the
+    semigroup, so only smaller targets reach the DP of
+    :func:`semigroup_contains` and its term cap.
+    """
+    gens = tuple(int(g) for g in generators)
+    if gens and min(gens) > 0 and math.gcd(*gens) == 1 \
+            and target >= (min(gens) - 1) * (max(gens) - 1):
+        return True
+    return semigroup_contains(gens, target).member
 
 
 def minimal_delta(A: CurveMatrix, i: int) -> tuple[int, tuple[int, ...]]:

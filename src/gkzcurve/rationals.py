@@ -86,13 +86,6 @@ def falling_factorial(z: Sequence, alpha: Sequence[int]) -> Fraction:
     return out
 
 
-def log_factorial(k: int) -> float:
-    """ln(k!) as a float, via lgamma."""
-    if k < 0:
-        raise InvalidInputError("log_factorial needs k >= 0")
-    return math.lgamma(k + 1)
-
-
 def log_abs(x: Fraction) -> float:
     """ln|x| for a nonzero rational, safe for huge numerators."""
     if x == 0:

@@ -1,0 +1,38 @@
+"""Public API that no pipeline step, CLI command, demo or benchmark uses
+should be wired in or deleted: every public function must be referenced by
+name somewhere outside its own definition and the package ``__init__``."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import gkzcurve
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_DIRS = ("src", "demos", "bench")
+
+
+def _referenced_names() -> set[str]:
+    """Names loaded (``f``) or taken as attributes (``G.f``) in the Python
+    files of CALLER_DIRS, the package ``__init__`` excluded.  A ``def``
+    binds its name without loading it, and a string never counts."""
+    init = ROOT / "src" / "gkzcurve" / "__init__.py"
+    names = set()
+    for d in CALLER_DIRS:
+        for path in (ROOT / d).rglob("*.py"):
+            if path == init:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+def test_every_public_function_has_a_caller():
+    public = [name for name in gkzcurve.__all__
+              if inspect.isfunction(getattr(gkzcurve, name))]
+    assert public
+    unused = sorted(set(public) - _referenced_names())
+    assert unused == [], f"public functions with no caller: {unused}"

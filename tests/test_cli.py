@@ -114,6 +114,28 @@ def test_term_cap_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "series", "-A", "2,3", "-b", "1",
                        "--point", "singular", "--index", "1", "--bound", "40")
     assert code == 3 and "resource" in err
+    # the monomials of a polynomial solution fill a ball of radius beta
+    monkeypatch.setenv("GKZ_TERM_CAP", "1000")
+    code, out, err = run(capsys, "polysol", "-A", "2,3", "-b", "1001")
+    assert code == 3 and out == "" and "resource" in err
+    monkeypatch.delenv("GKZ_TERM_CAP")
+    code, out, err = run(capsys, "polysol", "-A", "2,3", "-b", "2000001")
+    assert code == 3 and out == "" and "resource" in err
+
+
+def test_membership_answers_above_the_term_cap(capsys, monkeypatch):
+    # one membership bit, from the Frobenius bound, whatever the size of beta
+    for matrix in ("2,3", "3,4,5"):
+        data = run_json(capsys, "dims", "-A", matrix, "-b", "2000001")
+        assert data["beta_class"] == "special", matrix
+    data = run_json(capsys, "series", "-A", "2,3", "-b", "2000001", "--point", "modified")
+    assert len(data["terms"]) == 9
+    # minimal negative support is decided without enumerating lattice points
+    data = run_json(capsys, "exponents", "-A", "3,4,5", "-b", "-1")
+    assert all(e["exact_check"] for e in data["singular"] + data["generic"])
+    monkeypatch.setenv("GKZ_TERM_CAP", "1000")
+    data = run_json(capsys, "exponents", "-A", "1,2,3,5", "-b", "-1")
+    assert all(e["exact_check"] for e in data["singular"] + data["generic"])
 
 
 def test_term_cap_refuses_exponent_lists_and_polynomials(capsys, monkeypatch):

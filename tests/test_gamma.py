@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkzcurve.errors import InvalidInputError
 from gkzcurve.gamma import (
@@ -37,16 +38,66 @@ def test_minimal_support_plane():
     assert not res.minimal and res.exact
 
 
-def test_minimal_support_smooth_is_bounded_search():
+def test_minimal_support_smooth_is_exact():
     A = curve_matrix((1, 2, 5))
     # nonnegative support is minimal by definition, no search needed
     assert has_minimal_nsupp((F(0), F(1, 2), F(0)), A).exact
-    # clearing the middle coordinate of (0, -1, 0) would force a negative
-    # entry elsewhere, so the support is minimal; found by bounded search
+    # clearing the middle coordinate of (0, -1, 0) needs a point of N^3 with
+    # A.w = -2, and there is none: minimal
     res = has_minimal_nsupp((F(0), F(-1), F(0)), A)
-    assert res.minimal and not res.exact and res.search_bound is not None
+    assert res.minimal and res.exact
     # vtilde = (2, -1, 0) translates to (0, 0, 0): not minimal
     assert not has_minimal_nsupp((F(2), F(-1), F(0)), A).minimal
+    # the only witnesses lie far outside a box of radius 160, e.g.
+    # u = (-200, 0, 40) gives (-399/2, 0, 0)
+    res = has_minimal_nsupp((F(1, 2), F(0), F(-40)), A)
+    assert not res.minimal and res.exact
+    # four columns: beta = -1 is outside the semigroup
+    res = has_minimal_nsupp((F(0), F(0), F(-1), F(0)), curve_matrix((1, 2, 3, 5)))
+    assert res.minimal and res.exact
+    # beta = 3 * 10^7 - 2 lies far above the term cap, in the semigroup of (2 3)
+    res = has_minimal_nsupp((F(-1), F(10**7)), curve_matrix((2, 3)))
+    assert not res.minimal and res.exact
+
+
+def nsupp_box_scan(v, A, radius):
+    """Minimal negative support by scanning every u in ker A with
+    |u_i| <= radius (a bounded search: exact only if a witness, when one
+    exists, lies in the box)."""
+    base_supp = nsupp(v)
+    if not base_supp:
+        return True
+    frontier = TruncationFrontier.uniform(A.n, radius * A.n)
+    for u in enumerate_offsets(A, frontier):
+        if any(abs(x) > radius for x in u):
+            continue
+        if nsupp(tuple(a + b for a, b in zip(v, u))) < base_supp:
+            return False
+    return True
+
+
+@st.composite
+def nsupp_inputs(draw):
+    n = draw(st.sampled_from([2, 3]))
+    if n == 2:
+        a = draw(st.integers(1, 7))
+        b = draw(st.integers(a + 1, 8).filter(lambda b: math.gcd(a, b) == 1))
+        entries = (a, b)
+    else:
+        entries = (1, *sorted(draw(st.sets(st.integers(2, 8), min_size=2, max_size=2))))
+    v = draw(st.lists(st.one_of(st.integers(-3, 3).map(F),
+                                st.sampled_from([F(-5, 2), F(-1, 3), F(1, 2), F(7, 3)])),
+                      min_size=n, max_size=n))
+    return curve_matrix(entries), tuple(v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nsupp_inputs())
+def test_minimal_support_matches_box_scan(data):
+    A, v = data
+    res = has_minimal_nsupp(v, A)
+    assert res.exact
+    assert res.minimal == nsupp_box_scan(v, A, 64)
 
 
 def test_gamma_coefficient_example():

@@ -11,7 +11,7 @@ from gkzcurve.lattice import (
     delta_j_set,
     enumerate_offsets,
     homogenize_matrix,
-    kernel_basis,
+    in_semigroup,
     minimal_delta,
     semigroup_contains,
 )
@@ -36,50 +36,6 @@ def test_family_inference():
 def test_invalid_matrices_rejected(entries):
     with pytest.raises(InvalidInputError):
         curve_matrix(entries)
-
-
-# ---------------------------------------------------------------------------
-# kernel
-
-
-def test_plane_kernel():
-    assert kernel_basis(curve_matrix((2, 3))) == [(3, -2)]
-
-
-def test_smooth_kernel_rows():
-    # the distinguished row (second-to-last variable) has flipped signs
-    basis = kernel_basis(curve_matrix((1, 2, 5)))
-    assert basis == [(2, -1, 0), (-5, 0, 1)]
-    basis4 = kernel_basis(curve_matrix((1, 3, 4, 5)))
-    assert basis4 == [(-3, 1, 0, 0), (4, 0, -1, 0), (-5, 0, 0, 1)]
-
-
-@pytest.mark.parametrize("entries", [(2, 3), (1, 2, 5), (1, 3, 7)])
-def test_kernel_vectors_lie_in_kernel_and_span(entries):
-    A = curve_matrix(entries)
-    basis = kernel_basis(A)
-    assert len(basis) == A.n - 1
-    for u in basis:
-        assert A.dot(u) == 0
-    # full rank: the Gram determinant of the basis must be nonzero
-    gram = [[sum(a * b for a, b in zip(r, s)) for s in basis] for r in basis]
-    assert _det(gram) != 0
-
-
-@pytest.mark.parametrize("entries", [(3, 4, 5), (2, 5, 7)])
-def test_kernel_basis_rejects_general(entries):
-    with pytest.raises(InvalidInputError):
-        kernel_basis(curve_matrix(entries))
-
-
-def _det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    return sum(
-        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
-        for j in range(n)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +81,26 @@ def test_semigroup_witness_is_lex_smallest(gens, target):
     cert = semigroup_contains(gens, target)
     assert cert.witness == lex_smallest_witness(tuple(gens), target)
     assert cert.member == (cert.witness is not None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4), st.data())
+def test_in_semigroup_matches_dp(gens, data):
+    schur = (min(gens) - 1) * (max(gens) - 1)
+    target = data.draw(st.integers(-5, schur + 30))
+    assert in_semigroup(gens, target) == semigroup_contains(gens, target).member
+
+
+def test_in_semigroup_answers_above_the_term_cap(monkeypatch):
+    monkeypatch.setenv("GKZ_TERM_CAP", "100")
+    assert in_semigroup((2, 3), 10**7 + 1)
+    assert in_semigroup((3, 4, 5), 101)
+    assert not in_semigroup((2, 3), -1)
+    # without gcd 1 there is no Frobenius bound: the DP and its cap decide
+    with pytest.raises(ResourceLimitError):
+        in_semigroup((4, 6), 102)
+    with pytest.raises(InvalidInputError):
+        in_semigroup((0, 2), 3)
 
 
 def test_semigroup_edge_cases():
