@@ -41,7 +41,6 @@ from .lattice import (
     semigroup_contains,
 )
 from .rationals import (
-    Rational,
     falling_factorial,
     falling_factorial_1d,
     format_rational,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -303,6 +304,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point fd 1 at devnull so that the flush
+        # at interpreter shutdown does not raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -51,10 +51,9 @@ from .system import HypergeometricSystem
 
 @dataclass(frozen=True)
 class ExponentVector:
-    """A rational vector v with A.v = beta, tagged by its role."""
+    """A rational vector v with A.v = beta, tagged by its index."""
 
     v: tuple[Fraction, ...]
-    label: str = ""
     index: Optional[int] = None
 
     def __iter__(self):
@@ -171,11 +170,11 @@ def _exponent_axes(A: CurveMatrix, which: str) -> tuple[tuple[int, ...], int, in
 
 
 def _exponent(ent: tuple[int, ...], free: int, solved: int, beta: Fraction,
-              which: str, k: int) -> ExponentVector:
+              k: int) -> ExponentVector:
     v = [Fraction(0)] * len(ent)
     v[free] = Fraction(k)
     v[solved] = Fraction(beta - k * ent[free], ent[solved])
-    return ExponentVector(tuple(v), which, k)
+    return ExponentVector(tuple(v), k)
 
 
 def _exponent_list(A: CurveMatrix, beta: Fraction, which: str) -> list[ExponentVector]:
@@ -185,7 +184,7 @@ def _exponent_list(A: CurveMatrix, beta: Fraction, which: str) -> list[ExponentV
     count = ent[solved]
     if count > term_cap():
         raise ResourceLimitError(f"{count} {which} exponents exceed the term cap")
-    return [_exponent(ent, free, solved, beta, which, k) for k in range(count)]
+    return [_exponent(ent, free, solved, beta, k) for k in range(count)]
 
 
 def _polynomial_exponent(A: CurveMatrix, beta: Fraction) -> ExponentVector:
@@ -195,7 +194,7 @@ def _polynomial_exponent(A: CurveMatrix, beta: Fraction) -> ExponentVector:
     coprime (plane) or entries[free] = 1."""
     ent, free, solved = _exponent_axes(A, "singular")
     k = int(beta) * pow(ent[free], -1, ent[solved]) % ent[solved]
-    return _exponent(ent, free, solved, beta, "singular", k)
+    return _exponent(ent, free, solved, beta, k)
 
 
 def singular_exponents(system: HypergeometricSystem) -> list[ExponentVector]:
@@ -250,12 +249,12 @@ def modified_exponent(system: HypergeometricSystem) -> Optional[tuple[int, Expon
         m0 = int(poly.v[0])
         mprime = -((m0 + 1) // -b)  # ceil((m0+1)/b)
         v = (Fraction(m0 - b * mprime), Fraction(q + a * mprime))
-        return q, ExponentVector(v, "modified", q)
+        return q, ExponentVector(v, q)
     n = len(ent)
     v = [Fraction(0)] * n
     v[0] = beta + ent[n - 2]
     v[n - 2] = Fraction(-1)
-    return q, ExponentVector(tuple(v), "modified", q)
+    return q, ExponentVector(tuple(v), q)
 
 
 def modified_series(system: HypergeometricSystem,

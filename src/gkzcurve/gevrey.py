@@ -39,7 +39,14 @@ from .gamma import (
     gamma_coefficient,
     restrict_series_x0,
 )
-from .lattice import CurveMatrix, _lattice_points, curve_matrix, homogenize_matrix, term_cap
+from .lattice import (
+    CurveMatrix,
+    _lattice_points,
+    curve_matrix,
+    homogenize_matrix,
+    in_semigroup,
+    term_cap,
+)
 from .rationals import as_rational, log_abs
 from .series import TruncatedSeries, TruncationFrontier
 
@@ -94,9 +101,8 @@ def gevrey_index_estimate(f: TruncatedSeries, var: int, min_terms: int = 8,
     """Estimate the Gevrey index of f along x_var from coefficient growth.
 
     Reads the coefficients c_m on the diagonal u = m z, m >= 0, where z is
-    the primitive kernel direction of :func:`_diagonal_direction` (for two
-    variables z can be inferred from the series itself, otherwise pass the
-    matrix), and fits
+    the primitive kernel direction of :func:`_diagonal_direction` for
+    ``matrix`` (required unless f is exact), and fits
 
         ln|c_m|  ~  alpha * d ln d  +  gamma * d  +  delta * ln d  +  mu,
         d = x_var-degree of the m-th diagonal term,
@@ -112,24 +118,11 @@ def gevrey_index_estimate(f: TruncatedSeries, var: int, min_terms: int = 8,
     if f.exact:
         return {"estimate": 1.0, "stderr": 0.0,
                 "diagonal": "finite series (polynomial): index 1 by convention"}
-    if matrix is not None:
-        if not isinstance(matrix, CurveMatrix):
-            matrix = curve_matrix(matrix)
-        z = _diagonal_direction(matrix, var)
-    elif f.n == 2:
-        u = next((u for u in f.terms if any(u)), None)
-        if u is None:
-            raise InvalidInputError("cannot take a diagonal of the zero series")
-        g = math.gcd(*u)
-        z = tuple(x // g for x in u)
-        if z[var] == 0:
-            raise InvalidInputError(f"no growth diagonal along variable {var}")
-        if z[var] < 0:
-            z = tuple(-x for x in z)
-    else:
-        raise InvalidInputError(
-            "pass matrix= to choose the growth diagonal in more than two variables"
-        )
+    if matrix is None:
+        raise InvalidInputError("pass matrix= to choose the growth diagonal")
+    if not isinstance(matrix, CurveMatrix):
+        matrix = curve_matrix(matrix)
+    z = _diagonal_direction(matrix, var)
 
     points: list[tuple[float, float]] = []  # (degree, ln|c|)
     m = 0
@@ -332,18 +325,9 @@ def dimension_table(A, beta, s) -> DimensionTable:
     beta = as_rational(beta)
     s = _coerce_s(s)
     thr = slope_threshold(A)
-    if A.family == "plane":
-        special = _beta_in_semigroup(A, beta)
-        rank0 = A.entries[0]
-        validity = "exact"
-    elif A.family in ("smooth", "homogenized"):
-        special = beta.denominator == 1 and beta >= 0
-        rank0 = A.entries[-2]
-        validity = "exact"
-    else:
-        special = _beta_in_semigroup(A, beta)
-        rank0 = A.entries[-2]
-        validity = "generic-beta"
+    special = beta.denominator == 1 and in_semigroup(A.entries, int(beta))
+    rank0 = A.entries[-2]
+    validity = "generic-beta" if A.family == "general" else "exact"
     high = _s_at_least(s, thr)
     one = 1 if special else 0
 

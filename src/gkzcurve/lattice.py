@@ -146,15 +146,6 @@ class SemigroupCertificate:
     member: bool
     witness: Optional[tuple[int, ...]] = None
 
-    def check(self) -> bool:
-        if not self.member:
-            return self.witness is None
-        return (
-            self.witness is not None
-            and all(c >= 0 for c in self.witness)
-            and sum(c * g for c, g in zip(self.witness, self.generators)) == self.target
-        )
-
 
 def _suffix_reach(gens: tuple[int, ...], limit: int) -> list[int]:
     """R_0, ..., R_r as bitsets: bit t of R_k is set iff t <= limit is a sum

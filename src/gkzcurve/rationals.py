@@ -21,8 +21,6 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
 
-Rational = Fraction
-
 
 def as_rational(x) -> Fraction:
     """Coerce ints, rationals and 'p/q' strings to Fraction."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidInputError, InvariantViolationError
+from .errors import InvalidInputError, InvariantViolationError, ResourceLimitError
 from .gamma import gamma_coefficient
 from .lattice import (
     CurveMatrix,
@@ -34,6 +34,7 @@ from .lattice import (
     curve_matrix,
     homogenize_matrix,
     minimal_delta,
+    term_cap,
 )
 from .rationals import as_rational, falling_factorial_1d, format_rational
 from .series import TruncatedSeries, TruncationFrontier
@@ -86,14 +87,6 @@ class BFunction:
 
     k: int
     roots: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return self.k
-
-    @property
-    def biggest_root(self) -> int:
-        return self.roots[-1]
 
     def coefficients(self) -> tuple[Fraction, ...]:
         """Coefficients of prod (tau - r), lowest degree first."""
@@ -218,7 +211,8 @@ def ext1_recurrence_solve(A, epsilon, beta, f_coeffs, h_init=None,
     factorial.  ``f_coeffs`` and the optional ``h_init`` map (k, m) to
     rationals; missing f entries are 0 and missing initial values h_{k}
     (i.e. (k, 0)) default to 0.  Returns {(k, m): h_{k+am}} for
-    m = 0..num_terms.
+    m = 0..num_terms, and raises ResourceLimitError when those a (num_terms
+    + 1) entries exceed the term cap.
     """
     if not isinstance(A, CurveMatrix):
         A = curve_matrix(A)
@@ -226,11 +220,13 @@ def ext1_recurrence_solve(A, epsilon, beta, f_coeffs, h_init=None,
         raise InvalidInputError("the recurrence is stated for plane matrices")
     if num_terms < 0:
         raise InvalidInputError("the number of terms must be nonnegative")
+    a, b = A.entries
+    if a * (num_terms + 1) > term_cap():
+        raise ResourceLimitError(f"{a * (num_terms + 1)} recurrence entries exceed the term cap")
     epsilon = as_rational(epsilon)
     if epsilon == 0:
         raise InvalidInputError("the germ must sit off the origin: epsilon != 0")
     beta = as_rational(beta)
-    a, b = A.entries
     f = {(int(k), int(m)): as_rational(c) for (k, m), c in f_coeffs.items()}
     for (k, m) in f:
         if not (0 <= k < a) or m < 0:

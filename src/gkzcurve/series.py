@@ -31,7 +31,6 @@ from .rationals import (
     as_rational_vector,
     falling_factorial,
     format_rational,
-    parse_rational,
 )
 
 DEFAULT_BOUND = 40
@@ -65,10 +64,6 @@ class TruncationFrontier:
 
     def to_json(self) -> dict:
         return {"weight": list(self.weight), "bound": self.bound}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "TruncationFrontier":
-        return cls(tuple(int(w) for w in data["weight"]), int(data["bound"]))
 
 
 class TruncatedSeries:
@@ -105,25 +100,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def scale(self, c) -> "TruncatedSeries":
-        c = as_rational(c)
-        return TruncatedSeries(self.base, {u: c * v for u, v in self.terms.items()},
-                               self.frontier, self.exact)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.base != other.base:
-            raise InvalidInputError("can only add series with the same base exponent")
-        if self.exact and other.exact:
-            frontier, exact = self.frontier, True
-        else:
-            frontier, exact = self.frontier.meet(other.frontier), False
-        merged = dict(self.terms)
-        for u, c in other.terms.items():
-            merged[u] = merged.get(u, Fraction(0)) + c
-        merged = {u: c for u, c in merged.items()
-                  if exact or frontier.contains(u)}
-        return TruncatedSeries(self.base, merged, frontier, exact)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items())
 
@@ -137,16 +113,6 @@ class TruncatedSeries:
             "frontier": self.frontier.to_json(),
             "exact": self.exact,
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "TruncatedSeries":
-        base = tuple(parse_rational(s) for s in data["base"])
-        terms = {
-            tuple(int(x) for x in t["offset"]): parse_rational(t["coeff"])
-            for t in data["terms"]
-        }
-        return cls(base, terms, TruncationFrontier.from_json(data["frontier"]),
-                   bool(data.get("exact", False)))
 
     def __repr__(self) -> str:
         return (f"TruncatedSeries(base={tuple(map(str, self.base))}, "
@@ -197,16 +163,6 @@ class WeylOperator:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def d_power(cls, n: int, i: int, k: int = 1) -> "WeylOperator":
-        q = [0] * n
-        q[i] = k
-        return cls(n, [(1, (0,) * n, tuple(q))])
-
-    @classmethod
-    def monomial(cls, n: int, c, x: Sequence[int], d: Sequence[int]) -> "WeylOperator":
-        return cls(n, [(c, tuple(x), tuple(d))])
-
-    @classmethod
     def from_lattice(cls, u: Sequence[int]) -> "WeylOperator":
         """Toric binomial  box_u = d^{u_+} - d^{u_-}  for u in ker A."""
         n = len(tuple(u))
@@ -226,23 +182,6 @@ class WeylOperator:
             terms.append((a, tuple(e), tuple(e)))
         terms.append((-as_rational(beta), (0,) * n, (0,) * n))
         return cls(n, terms)
-
-    # -- algebra -------------------------------------------------------------
-
-    def __add__(self, other: "WeylOperator") -> "WeylOperator":
-        if self.n != other.n:
-            raise InvalidInputError("operator dimension mismatch")
-        return WeylOperator(self.n, list(self.terms) + list(other.terms))
-
-    def __neg__(self) -> "WeylOperator":
-        return WeylOperator(self.n, [(-c, p, q) for c, p, q in self.terms])
-
-    def __sub__(self, other: "WeylOperator") -> "WeylOperator":
-        return self + (-other)
-
-    def scale(self, c) -> "WeylOperator":
-        c = as_rational(c)
-        return WeylOperator(self.n, [(c * t, p, q) for t, p, q in self.terms])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WeylOperator) and self.terms == other.terms
@@ -264,16 +203,6 @@ class WeylOperator:
             {"coeff": format_rational(c), "x": list(p), "d": list(q)}
             for c, p, q in self.terms
         ]
-
-    @classmethod
-    def from_json(cls, data, n: int | None = None) -> "WeylOperator":
-        terms = [(parse_rational(t["coeff"]), tuple(t["x"]), tuple(t["d"]))
-                 for t in data]
-        if n is None:
-            if not terms:
-                raise InvalidInputError("cannot infer dimension of an empty operator")
-            n = len(terms[0][1])
-        return cls(n, terms)
 
     def __repr__(self) -> str:
         return f"WeylOperator(n={self.n}, {len(self.terms)} terms)"

@@ -2,17 +2,18 @@
 
 For a row matrix A and a rational parameter beta, the system consists of
 
-* toric binomials  d^{u_+} - d^{u_-}  for u in ker A, and
+* toric binomials  box_u = d^{u_+} - d^{u_-}  for u in ker A, and
 * the Euler operator  E = sum_j a_j x_j d_j - beta.
 
-Each supported family gets the generating set in its customary shape:
+Every binomial generator is box_u for a kernel vector u; each supported
+family gets the vectors of its customary generating set:
 
-* plane (a b):            d_1^b - d_2^a
-* smooth (1 a_2 .. a_n):  d_1^{a_i} - d_i   for i = 2..n
+* plane (a b):            u = (b, -a),  i.e. d_1^b - d_2^a
+* smooth (1 a_2 .. a_n):  u = a_i e_1 - e_i  for i = 2..n
 * homogenized (1 a_1 .. a_n):
-      d_0^{a_i} - d_i  for every i, plus the contiguity binomials
-      Q_i = d_0 d_i^{delta_i} - d^{rho_i}  built from minimal_delta
-* general:                all binomials box_u with small support degree
+      u = a_i e_0 - e_i  for every i, plus the contiguity binomials
+      Q_i = d_0 d_i^{delta_i} - d^{rho_i}  from minimal_delta
+* general:                all box_u with small support degree
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInputError
 from .lattice import CurveMatrix, curve_matrix, minimal_delta
 from .rationals import as_rational
 from .series import TruncationFrontier, WeylOperator
@@ -46,15 +46,15 @@ class HypergeometricSystem:
         return self.matrix.n
 
 
-def _general_binomials(A: CurveMatrix) -> list[WeylOperator]:
-    """box_u for kernel vectors with max(|u_+|, |u_-|) <= 2 max(A).
+def _general_kernel(A: CurveMatrix) -> list[tuple[int, ...]]:
+    """Kernel vectors u with max(|u_+|, |u_-|) <= 2 max(A).
 
     One representative per {u, -u} pair (the two binomials differ by sign).
     """
     degree_bound = 2 * max(A.entries)
     frontier = TruncationFrontier.uniform(A.n, 2 * degree_bound)
     seen = set()
-    ops = []
+    kernel = []
     for u in _lattice.enumerate_offsets(A, frontier):
         if all(x == 0 for x in u):
             continue
@@ -66,8 +66,8 @@ def _general_binomials(A: CurveMatrix) -> list[WeylOperator]:
         if key in seen:
             continue
         seen.add(key)
-        ops.append(WeylOperator.from_lattice(key))
-    return ops
+        kernel.append(key)
+    return kernel
 
 
 def build_system(A, beta) -> HypergeometricSystem:
@@ -82,39 +82,25 @@ def build_system(A, beta) -> HypergeometricSystem:
     beta = as_rational(beta)
     ent = A.entries
     n = A.n
-    euler = WeylOperator.euler(ent, beta)
-    extra: tuple[WeylOperator, ...] = ()
-
     if A.family == "plane":
         a, b = ent
-        toric = [WeylOperator.from_lattice((b, -a))]
-    elif A.family == "smooth":
-        toric = [
-            WeylOperator.d_power(n, 0, ent[i]) - WeylOperator.d_power(n, i)
-            for i in range(1, n)
-        ]
-    elif A.family == "homogenized":
-        toric = [
-            WeylOperator.d_power(n, 0, ent[i]) - WeylOperator.d_power(n, i)
-            for i in range(1, n)
-        ]
-        base = A.base
-        contiguity = []
-        for i in range(base.n):
-            delta, rho = minimal_delta(base, i)
-            # rho indexes the base matrix; shift by one for the new column.
-            d_left = [0] * n
-            d_left[0] = 1
-            d_left[i + 1] += delta
-            d_right = [0] + list(rho)
-            contiguity.append(
-                WeylOperator.monomial(n, 1, (0,) * n, tuple(d_left))
-                - WeylOperator.monomial(n, 1, (0,) * n, tuple(d_right))
-            )
-        extra = tuple(contiguity)
+        toric = [(b, -a)]
     elif A.family == "general":
-        toric = _general_binomials(A)
-    else:  # pragma: no cover - curve_matrix already validates
-        raise InvalidInputError(f"unsupported family {A.family!r}")
-
-    return HypergeometricSystem(A, beta, tuple(toric), euler, extra)
+        toric = _general_kernel(A)
+    else:
+        # smooth or homogenized: ent[0] = 1, so a_i e_0 - e_i lies in ker A
+        toric = [tuple(ent[i] * (j == 0) - (j == i) for j in range(n))
+                 for i in range(1, n)]
+    contiguity = []
+    if A.family == "homogenized":
+        for i in range(A.base.n):
+            delta, rho = minimal_delta(A.base, i)
+            # u = e_0 + delta e_{i+1} - (0, rho); rho indexes the base
+            # matrix and rho_i = 0, so the two halves have disjoint supports.
+            contiguity.append((1,) + tuple(delta * (j == i) - r for j, r in enumerate(rho)))
+    return HypergeometricSystem(
+        A, beta,
+        tuple(WeylOperator.from_lattice(u) for u in toric),
+        WeylOperator.euler(ent, beta),
+        tuple(WeylOperator.from_lattice(u) for u in contiguity),
+    )

@@ -1,6 +1,7 @@
 """Public API that no pipeline step, CLI command, demo or benchmark uses
-should be wired in or deleted: every public function must be referenced by
-name somewhere outside its own definition and the package ``__init__``."""
+should be wired in or deleted: every public function, and every public
+method or property of a public class, must be referenced by name somewhere
+outside its own definition and the package ``__init__``."""
 
 import ast
 import inspect
@@ -36,3 +37,21 @@ def test_every_public_function_has_a_caller():
     assert public
     unused = sorted(set(public) - _referenced_names())
     assert unused == [], f"public functions with no caller: {unused}"
+
+
+METHOD_KINDS = (property, classmethod, staticmethod)
+
+
+def test_every_public_method_has_a_caller():
+    public = [
+        f"{cls.__name__}.{attr}"
+        for cls in (getattr(gkzcurve, name) for name in gkzcurve.__all__)
+        if inspect.isclass(cls)
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(value) or isinstance(value, METHOD_KINDS))
+    ]
+    assert "WeylOperator.from_lattice" in public
+    names = _referenced_names()
+    unused = sorted(m for m in public if m.split(".")[1] not in names)
+    assert unused == [], f"public methods with no caller: {unused}"

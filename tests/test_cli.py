@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gkzcurve.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -121,6 +126,13 @@ def test_term_cap_exit_code(capsys, monkeypatch):
     monkeypatch.delenv("GKZ_TERM_CAP")
     code, out, err = run(capsys, "polysol", "-A", "2,3", "-b", "2000001")
     assert code == 3 and out == "" and "resource" in err
+    # a (terms + 1) recurrence entries, refused before the first one is built
+    for argv in (("solve-ext1", "-A", "2,3", "-b", "1", "--terms", "100000000"),
+                 ("solve-ext1", "-A", "999999,1000000", "-b", "1")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 3 and out == "" and "resource" in err, argv
 
 
 def test_membership_answers_above_the_term_cap(capsys, monkeypatch):
@@ -148,6 +160,23 @@ def test_term_cap_refuses_exponent_lists_and_polynomials(capsys, monkeypatch):
     # 541 monomials x >= 0 with x_1 + 2 x_2 + 5 x_3 = 100
     code, out, err = run(capsys, "polysol", "-A", "1,2,5", "-b", "100")
     assert code == 3 and out == "" and "resource" in err
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # the series JSON (about 250 KB) overflows the 64 KiB pipe buffer, so the
+    # CLI is still writing when the reader goes away
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gkzcurve", "series", "-A", "2,3", "-b", "1",
+         "--point", "singular", "--index", "1", "--bound", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == 1
 
 
 def test_import_leaves_numpy_out():

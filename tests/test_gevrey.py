@@ -11,7 +11,7 @@ from gkzcurve.gevrey import (
     slope_report,
     slope_threshold,
 )
-from gkzcurve.lattice import curve_matrix
+from gkzcurve.lattice import curve_matrix, homogenize_matrix, in_semigroup
 from gkzcurve.series import TruncationFrontier, apply_operator, verify_annihilation
 from gkzcurve.system import build_system
 
@@ -36,8 +36,8 @@ def singular_series(entries, beta, index, bound):
     ],
 )
 def test_gevrey_estimates_plane(entries, beta, index, expect, tol, bound):
-    f, _ = singular_series(entries, beta, index, bound)
-    est = gevrey_index_estimate(f, 1)
+    f, system = singular_series(entries, beta, index, bound)
+    est = gevrey_index_estimate(f, 1, matrix=system.matrix)
     assert est["estimate"] == pytest.approx(float(expect), abs=tol)
 
 
@@ -52,10 +52,14 @@ def test_gevrey_estimate_pinned_to_recorded_values():
 
 def test_gevrey_estimate_smooth_needs_matrix():
     f, system = singular_series((1, 2, 5), 1, 0, 220)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="pass matrix="):
         gevrey_index_estimate(f, 2)
     est = gevrey_index_estimate(f, 2, matrix=system.matrix)
     assert est["estimate"] == pytest.approx(2.5, abs=0.10)
+    # a plane series needs the matrix too: the diagonal is not read off the terms
+    f, _ = singular_series((2, 3), 1, 1, 40)
+    with pytest.raises(InvalidInputError, match="pass matrix="):
+        gevrey_index_estimate(f, 1)
 
 
 def test_gevrey_estimate_polynomial_convention():
@@ -66,13 +70,13 @@ def test_gevrey_estimate_polynomial_convention():
 
 
 def test_gevrey_estimate_insufficient_terms():
-    f, _ = singular_series((2, 3), 1, 1, 20)
-    with pytest.raises(InvalidInputError):
-        gevrey_index_estimate(f, 1, min_terms=30)
+    f, system = singular_series((2, 3), 1, 1, 20)
+    with pytest.raises(InvalidInputError, match="diagonal terms available"):
+        gevrey_index_estimate(f, 1, min_terms=30, matrix=system.matrix)
     # 3 diagonal points cannot determine the 4 fit coefficients
-    f, _ = singular_series((2, 3), 1, 1, 10)
-    with pytest.raises(InvalidInputError):
-        gevrey_index_estimate(f, 1, min_terms=0)
+    f, system = singular_series((2, 3), 1, 1, 10)
+    with pytest.raises(InvalidInputError, match="singular normal equations"):
+        gevrey_index_estimate(f, 1, min_terms=0, matrix=system.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +164,36 @@ def test_dimension_table_general_flags_generic_validity():
     got = dimension_table((3, 4, 5), 2, "inf")
     assert got.validity == "generic-beta"
     assert dimension_table((2, 3), 2, 2).validity == "exact"
+
+
+def three_branch_rule(A, beta):
+    """(special, rank0, validity) by one rule per family: semigroup
+    membership for plane and general matrices, beta in N for the smooth and
+    homogenized ones, whose column of 1 makes N A = N."""
+    if A.family == "plane":
+        return (beta.denominator == 1 and in_semigroup(A.entries, int(beta)),
+                A.entries[0], "exact")
+    if A.family in ("smooth", "homogenized"):
+        return beta.denominator == 1 and beta >= 0, A.entries[-2], "exact"
+    return (beta.denominator == 1 and in_semigroup(A.entries, int(beta)),
+            A.entries[-2], "generic-beta")
+
+
+@pytest.mark.parametrize("A", [
+    curve_matrix((2, 3)), curve_matrix((3, 5)), curve_matrix((1, 2, 5)),
+    curve_matrix((1, 3, 7)), curve_matrix((3, 4, 5)), curve_matrix((4, 5, 6, 7)),
+    homogenize_matrix(curve_matrix((3, 4, 5))),
+], ids=str)
+def test_dimension_table_matches_three_branch_rule(A):
+    for beta in (F(-1), F(0), F(1, 2), F(2), F(7)):
+        special, rank0, validity = three_branch_rule(A, beta)
+        for s in (1, F(5, 4), 2, "inf"):
+            got = dimension_table(A, beta, s)
+            high = s == "inf" or s >= slope_threshold(A)
+            assert got.beta_class == ("special" if special else "generic")
+            assert got.validity == validity
+            assert got.cell("Q_Y(s)", 0, P) == (rank0 if high else 0)
+            assert got.cell("O^(s)", 0, P) == (rank0 if high else int(special))
 
 
 def test_dimension_table_rejects_bad_s():

@@ -52,12 +52,24 @@ def brute_force_member(gens, target):
     )
 
 
+def witness_ok(cert):
+    """A member carries a nonnegative witness summing to the target; a
+    non-member carries none."""
+    if not cert.member:
+        return cert.witness is None
+    return (
+        cert.witness is not None
+        and all(c >= 0 for c in cert.witness)
+        and sum(c * g for c, g in zip(cert.witness, cert.generators)) == cert.target
+    )
+
+
 @pytest.mark.parametrize("gens", [(2, 3), (2, 5), (3, 4), (3, 5, 7), (4, 6, 9)])
 def test_semigroup_against_brute_force(gens):
     for target in range(0, 61):
         cert = semigroup_contains(gens, target)
         assert cert.member == brute_force_member(gens, target)
-        assert cert.check()
+        assert witness_ok(cert)
 
 
 def lex_smallest_witness(gens, target):

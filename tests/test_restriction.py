@@ -65,7 +65,7 @@ def test_homogenized_round_trip_annihilation():
 def test_b_function_values():
     bf = b_function_1kakb(3, 1, 2)
     assert bf.roots == (0, 1, 2)
-    assert bf.biggest_root == 2
+    assert bf.roots[-1] == 2
     # tau(tau-1)(tau-2) = tau^3 - 3 tau^2 + 2 tau
     assert bf.coefficients() == (0, 2, -3, 1)
 

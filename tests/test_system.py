@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
-from gkzcurve.lattice import curve_matrix, homogenize_matrix
+import pytest
+
+from gkzcurve.lattice import curve_matrix, homogenize_matrix, minimal_delta
 from gkzcurve.series import WeylOperator
 from gkzcurve.system import build_system
 
@@ -38,6 +40,25 @@ def test_homogenized_system_includes_contiguity_operators():
     assert q0 == WeylOperator(
         4, [(1, (0,) * 4, (1, 1, 0, 0)), (-1, (0,) * 4, (0, 0, 1, 0))]
     )
+
+
+def contiguity_monomials(base, i):
+    """Q_i = d_0 d_{i+1}^{delta_i} - d^{(0, rho_i)}, monomial minus monomial."""
+    n = base.n + 1
+    delta, rho = minimal_delta(base, i)
+    left = [0] * n
+    left[0] = 1
+    left[i + 1] += delta
+    right = [0] + list(rho)
+    zero = (0,) * n
+    return WeylOperator(n, [(1, zero, tuple(left)), (-1, zero, tuple(right))])
+
+
+@pytest.mark.parametrize("entries", [(3, 4, 5), (4, 5, 6, 7), (5, 6, 7)])
+def test_contiguity_operators_match_monomial_difference(entries):
+    base = curve_matrix(entries)
+    system = build_system(homogenize_matrix(base), 0)
+    assert system.extra == tuple(contiguity_monomials(base, i) for i in range(base.n))
 
 
 def test_general_system_binomials_lie_in_kernel():
