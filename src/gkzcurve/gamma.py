@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
-from .errors import InvalidInputError, InvariantViolationError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError
 from .lattice import (
     CurveMatrix,
     curve_matrix,
@@ -44,7 +44,7 @@ from .lattice import (
     in_semigroup,
     term_cap,
 )
-from .rationals import as_rational_vector, falling_factorial
+from .rationals import as_rational_vector, falling_product
 from .series import TruncatedSeries, TruncationFrontier
 from .system import HypergeometricSystem
 
@@ -110,30 +110,37 @@ def has_minimal_nsupp(v, A) -> MinimalSupportResult:
     return MinimalSupportResult(not in_semigroup(A.entries, int(A.dot(v))), True)
 
 
+def _gamma_ratio(p: Sequence[int], q: Sequence[int], u: Sequence[int]) -> Fraction:
+    """Gamma[v; u] for v_i = p_i / q_i and u in N_v, from integers: u_i = -k
+    contributes (v_i)_k, u_i = k > 0 contributes 1 / (v_i + k)_k."""
+    num = den = 1
+    for pi, qi, k in zip(p, q, u):
+        if k < 0:
+            num, den = num * falling_product(pi, qi, -k), den * qi**-k
+        elif k:
+            num, den = num * qi**k, den * falling_product(pi + k * qi, qi, k)
+    return Fraction(num, den)
+
+
 def gamma_coefficient(v, u) -> Fraction:
     """Gamma[v; u] = (v)_{u_-} / (v + u)_{u_+}, zero off the support set N_v."""
     v = _vec(v)
     u = tuple(int(x) for x in u)
     if len(u) != len(v):
         raise InvalidInputError("offset dimension mismatch")
-    shifted = tuple(a + b for a, b in zip(v, u))
-    if nsupp(shifted) != nsupp(v):
-        return Fraction(0)
-    num = falling_factorial(v, tuple(max(-x, 0) for x in u))
-    den = falling_factorial(shifted, tuple(max(x, 0) for x in u))
-    if den == 0:
-        raise InvariantViolationError(
-            f"vanishing denominator at u={u}: the support filter should prevent this"
-        )
-    return num / den
+    p, q = [x.numerator for x in v], [x.denominator for x in v]
+    if any(b == 1 and (a < 0) != (a + k < 0) for a, b, k in zip(p, q, u)):
+        return Fraction(0)  # v + u gains or loses a negative integer coordinate
+    return _gamma_ratio(p, q, u)
 
 
 def gamma_series(v, system: HypergeometricSystem,
                  frontier: TruncationFrontier) -> TruncatedSeries:
     """Truncated expansion of phi_v inside the frontier.
 
-    Complete: every u in N_v with weighted norm <= frontier.bound appears
-    (possibly with coefficient zero, which is then dropped).
+    Complete: every u in N_v with weighted norm <= frontier.bound appears.
+    N_v is the box u_i >= -v_i for integer v_i >= 0, u_i <= -v_i - 1 for
+    integer v_i < 0, which the enumerator walks; no coefficient there is 0.
     """
     v = _vec(v)
     A = system.matrix
@@ -141,11 +148,10 @@ def gamma_series(v, system: HypergeometricSystem,
         raise InvalidInputError("exponent dimension mismatch")
     if A.dot(v) != system.beta:
         raise InvalidInputError(f"A.v = {A.dot(v)} differs from beta = {system.beta}")
-    terms = {}
-    for u in enumerate_offsets(A, frontier):
-        c = gamma_coefficient(v, u)
-        if c != 0:
-            terms[u] = c
+    p, q = [x.numerator for x in v], [x.denominator for x in v]
+    lower = [-a if b == 1 and a >= 0 else None for a, b in zip(p, q)]
+    upper = [-a - 1 if b == 1 and a < 0 else None for a, b in zip(p, q)]
+    terms = {u: _gamma_ratio(p, q, u) for u in enumerate_offsets(A, frontier, lower, upper)}
     return TruncatedSeries(v, terms, frontier)
 
 

@@ -143,22 +143,9 @@ def gevrey_index_estimate(f: TruncatedSeries, var: int, min_terms: int = 8,
     burn = len(points) // 5
     points = points[burn:]
     d = [p[0] for p in points]
-    ln = [math.log(di) for di in d]
-    # Normal equations N coef = r of the fit, solved exactly over the
-    # rationals from the float points; the same inverse gives the stderr.
-    cols = [[Fraction(x) for x in col]
-            for col in ([di * li for di, li in zip(d, ln)], d, ln, [1.0] * len(d))]
-    y = [Fraction(p[1]) for p in points]
-    N = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
-    r = [sum(a * b for a, b in zip(ci, y)) for ci in cols]
-    inv = _inverse(N)
-    coef = [sum(a * b for a, b in zip(row, r)) for row in inv]
-    # at the least-squares solution the residual sum of squares is y.y - coef.r
-    rss = sum(yi * yi for yi in y) - sum(c * ri for c, ri in zip(coef, r))
-    dof = max(len(d) - len(cols), 1)
-    stderr = math.sqrt(float(rss / dof * inv[0][0]))
+    alpha, stderr = _least_squares(d, [p[1] for p in points])
     return {
-        "estimate": 1.0 + float(coef[0]),
+        "estimate": 1.0 + alpha,
         "stderr": stderr,
         "diagonal": (
             f"offsets m*{z}, x_{var}-degrees {d[0]:g}..{d[-1]:g} "
@@ -167,10 +154,31 @@ def gevrey_index_estimate(f: TruncatedSeries, var: int, min_terms: int = 8,
     }
 
 
-def _inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
+def _least_squares(d: list[float], y: list[float]) -> tuple[float, float]:
+    """(alpha, stderr) of the fit y ~ alpha d ln d + gamma d + delta ln d + mu,
+    solved exactly.  Scaled by one power of two, every float point is an
+    integer, so N, r and y.y are integer sums; the scale cancels from coef
+    and the stderr, which equal those of the solve over the rationals."""
+    ln = [math.log(di) for di in d]
+    ratios = [x.as_integer_ratio()
+              for x in [di * li for di, li in zip(d, ln)] + d + ln + [1.0] * len(d) + y]
+    e = max(den.bit_length() for _, den in ratios)
+    ints = [num << (e - den.bit_length()) for num, den in ratios]
+    k = len(d)  # points; the columns are d ln d, d, ln d, 1
+    cols, yi = [ints[i * k:(i + 1) * k] for i in range(4)], ints[4 * k:]
+    N = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
+    r = [sum(a * b for a, b in zip(ci, yi)) for ci in cols]
+    inv = _inverse(N)
+    coef = [sum(a * b for a, b in zip(row, r)) for row in inv]
+    # at the least-squares solution the residual sum of squares is y.y - coef.r
+    rss = sum(a * a for a in yi) - sum(c * ri for c, ri in zip(coef, r))
+    return float(coef[0]), math.sqrt(float(rss / max(k - 4, 1) * inv[0][0]))
+
+
+def _inverse(m: list[list[int]]) -> list[list[Fraction]]:
     """Exact inverse by Gauss-Jordan elimination."""
     n = len(m)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(m)]
     for col in range(n):
         piv = next((i for i in range(col, n) if aug[i][col]), None)
@@ -383,11 +391,9 @@ def polynomial_solution(A, beta) -> Optional[tuple[int, TruncatedSeries]]:
     v = _polynomial_exponent(A, beta)
     nbeta = int(beta)
     terms = {}
-    for x in _lattice_points(A.entries, nbeta, A.entries, nbeta, signed=False):
+    for x in _lattice_points(A.entries, nbeta, A.entries, nbeta, [0] * A.n):
         u = tuple(xi - int(vi) for xi, vi in zip(x, v))
-        c = gamma_coefficient(v, u)
-        if c != 0:
-            terms[u] = c
+        terms[u] = gamma_coefficient(v, u)
     span = max((sum(abs(x) for x in u) for u in terms), default=0)
     frontier = TruncationFrontier.uniform(len(v), span)
     return v.index, TruncatedSeries(v.v, terms, frontier, exact=True)

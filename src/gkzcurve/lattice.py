@@ -244,61 +244,78 @@ def minimal_delta(A: CurveMatrix, i: int) -> tuple[int, tuple[int, ...]]:
 # bounded lattice points
 
 
-def _lattice_points(coeffs: Sequence[int], rhs: int, weight: Sequence[int],
-                    bound: int, signed: bool) -> list[tuple[int, ...]]:
-    """Every integer x with coeffs.x = rhs and sum_i weight_i |x_i| <= bound,
-    with x >= 0 unless ``signed``, sorted.
+def _ball_count(d: int, r: int, signed: bool) -> int:
+    """Points of the L1 ball of radius r >= 0 in Z^d if ``signed``, else in N^d."""
+    if not signed:
+        return math.comb(r + d, d)
+    return sum(2**k * math.comb(d, k) * math.comb(r, k) for k in range(min(d, r) + 1))
 
-    The one bounded-lattice enumerator of the package.  Coordinates
-    1..n-1 range over the weighted ball (over its nonnegative part unless
-    ``signed``) and coordinate 0 is solved from the equation, with a
-    divisibility check, so nothing inside the ball is missed; coeffs[0]
-    must be nonzero.
 
-    Raises ResourceLimitError if more than the term cap would be returned.
+def _lattice_points(coeffs: Sequence[int], rhs: int, weight: Sequence[int], bound: int,
+                    lower: Sequence[Optional[int]],
+                    upper: Optional[Sequence[Optional[int]]] = None) -> list[tuple[int, ...]]:
+    """Every integer x with coeffs.x = rhs, sum_i weight_i |x_i| <= bound and
+    lower_i <= x_i <= upper_i (None: no bound), sorted.
+
+    The one bounded-lattice enumerator of the package.  Coordinates 1..n-1
+    range over the ball clipped to their bounds, coordinate 0 is solved from
+    the equation (coeffs[0] != 0), and a partial vector is dropped once
+    |rest| exceeds max |c_i| / w_i over coordinate 0 and the open
+    coordinates, times the budget left.  ResourceLimitError is raised before
+    the walk when the ball of coordinates 1..n-1 (over x >= 0 when every
+    lower_i >= 0 there) at radius bound // min weight, an upper bound on
+    the request, holds more points than the term cap.
     """
     if bound < 0:
         return []
-    cap = term_cap()
     n = len(coeffs)
+    signed = any(lo is None or lo < 0 for lo in lower[1:])
+    if _ball_count(n - 1, bound // min(weight[1:], default=1), signed) > term_cap():
+        raise ResourceLimitError("lattice enumeration exceeds the term cap")
+    lo = [-(bound // w) if b is None else max(b, -(bound // w)) for b, w in zip(lower, weight)]
+    hi = [bound // w if b is None else min(b, bound // w)
+          for b, w in zip(upper or [None] * n, weight)]
     c0, w0 = coeffs[0], weight[0]
-    lo0 = -(bound // w0) if signed else 0
+    # reach[pos] = (|c|, w) of largest |c|/w among coordinates 0 and pos..n-1
+    reach = [(abs(c0), w0)] * (n + 1)
+    for pos in range(n - 1, 0, -1):
+        c, w = reach[pos + 1]
+        big = abs(coeffs[pos]) * w > c * weight[pos]
+        reach[pos] = (abs(coeffs[pos]), weight[pos]) if big else (c, w)
     out: list[tuple[int, ...]] = []
 
-    def rec(pos: int, partial: list[int], used: int, rest: int) -> None:
-        # rest = rhs - sum_{i >= 1} coeffs_i x_i, which c0 x0 must equal
-        if pos == n:
-            if rest % c0:
-                return
-            x0 = rest // c0
-            if x0 < lo0 or used + w0 * abs(x0) > bound:
-                return
-            if len(out) >= cap:
-                raise ResourceLimitError("lattice enumeration exceeded the term cap")
-            out.append((x0, *partial))
+    def rec(pos: int, partial: list[int], left: int, rest: int) -> None:
+        # rest = rhs - sum_{1 <= i < pos} coeffs_i x_i; left = budget unused
+        c, w = reach[pos]
+        if abs(rest) * w > c * left:
             return
-        lim = (bound - used) // weight[pos]
-        for x in range(-lim if signed else 0, lim + 1):
+        if pos == n:
+            x0, r = divmod(rest, c0)
+            if not r and lo[0] <= x0 <= hi[0] and w0 * abs(x0) <= left:
+                out.append((x0, *partial))
+            return
+        cp, wp = coeffs[pos], weight[pos]
+        lim = left // wp
+        for x in range(max(lo[pos], -lim), min(hi[pos], lim) + 1):
             partial.append(x)
-            rec(pos + 1, partial, used + weight[pos] * abs(x), rest - coeffs[pos] * x)
+            rec(pos + 1, partial, left - wp * abs(x), rest - cp * x)
             partial.pop()
 
-    rec(1, [], 0, rhs)
+    rec(1, [], bound, rhs)
     out.sort()
     return out
 
 
-def enumerate_offsets(A: CurveMatrix, frontier) -> list[tuple[int, ...]]:
-    """All u in L_A with sum_i weight_i |u_i| <= frontier.bound, sorted.
-
-    The kernel points of the frontier ball, from :func:`_lattice_points`
-    with coefficients A, right-hand side 0 and signed coordinates.
-
-    Raises ResourceLimitError if more than the term cap would be returned.
+def enumerate_offsets(A: CurveMatrix, frontier, lower: Optional[Sequence] = None,
+                      upper: Optional[Sequence] = None) -> list[tuple[int, ...]]:
+    """All u in L_A with sum_i weight_i |u_i| <= frontier.bound and
+    lower_i <= u_i <= upper_i (None: no bound), sorted, from
+    :func:`_lattice_points` (which raises ResourceLimitError past the cap).
     """
     if len(frontier.weight) != A.n:
         raise InvalidInputError("frontier dimension mismatch")
-    return _lattice_points(A.entries, 0, frontier.weight, frontier.bound, signed=True)
+    return _lattice_points(A.entries, 0, frontier.weight, frontier.bound,
+                           lower or (None,) * A.n, upper)
 
 
 def delta_j_set(Aprime: CurveMatrix, j: int, degree_bound: int) -> list[tuple[int, ...]]:
@@ -322,4 +339,4 @@ def delta_j_set(Aprime: CurveMatrix, j: int, degree_bound: int) -> list[tuple[in
     if degree_bound < 0:
         raise InvalidInputError("degree bound must be nonnegative")
     coeffs = tuple(-a if i == pivot else a for i, a in enumerate(base))
-    return _lattice_points(coeffs, j, (1,) * n, degree_bound, signed=False)
+    return _lattice_points(coeffs, j, (1,) * n, degree_bound, (0,) * n)

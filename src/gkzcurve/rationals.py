@@ -10,7 +10,8 @@ The one non-trivial primitive is the multivariate falling factorial
     (z)_alpha = prod_i  z_i * (z_i - 1) * ... * (z_i - alpha_i + 1),
 
 taken over the coordinates where alpha_i > 0 (empty product = 1).  It is the
-building block of every Gamma-series coefficient.
+building block of every Gamma-series coefficient, multiplied out over the
+integers by :func:`falling_product`.
 """
 
 from __future__ import annotations
@@ -53,35 +54,37 @@ def format_rational(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def falling_product(p: int, q: int, k: int) -> int:
+    """p (p - q) ... (p - (k-1) q) = q^k (p/q)_k for q >= 1, k >= 0: the
+    integer primitive of every falling factorial and Gamma coefficient."""
+    return math.prod(range(p, p - k * q, -q))
+
+
 def falling_factorial_1d(z, k: int) -> Fraction:
     """z (z-1) ... (z-k+1) for an integer k >= 0 (k = 0 gives 1)."""
-    if k < 0:
-        raise InvalidInputError("falling factorial needs a nonnegative step count")
-    z = as_rational(z)
-    # Work over a common denominator so the loop multiplies plain ints.
-    p, q = z.numerator, z.denominator
-    num = 1
-    for j in range(k):
-        num *= p - j * q
-    return Fraction(num, q**k)
+    return falling_factorial((z,), (k,))
 
 
 def falling_factorial(z: Sequence, alpha: Sequence[int]) -> Fraction:
     """Coordinatewise falling factorial (z)_alpha, multiplied out.
 
     ``alpha`` must consist of nonnegative integers; coordinates with
-    alpha_i = 0 are skipped.  Examples:
+    alpha_i = 0 are skipped; one Fraction is built at the end.  Examples:
 
         falling_factorial((Fraction(1,2), 0), (3, 0))  ->  3/8
         falling_factorial((2, 3), (0, 2))              ->  6
     """
     if len(z) != len(alpha):
         raise InvalidInputError("z and alpha must have equal length")
-    out = Fraction(1)
-    for zi, ai in zip(z, alpha):
-        if ai:
-            out *= falling_factorial_1d(zi, ai)
-    return out
+    num = den = 1
+    for zi, k in zip(z, alpha):
+        if k < 0:
+            raise InvalidInputError("falling factorial needs a nonnegative step count")
+        if k:
+            zi = as_rational(zi)
+            num *= falling_product(zi.numerator, zi.denominator, k)
+            den *= zi.denominator**k
+    return Fraction(num, den)
 
 
 def log_abs(x: Fraction) -> float:

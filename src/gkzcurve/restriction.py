@@ -326,7 +326,7 @@ def ext1_generator(A, beta) -> TruncatedSeries:
     vtilde[0] = nbeta + ent[n - 2]
     kept = ent[:n - 2] + ent[n - 1:]
     terms: dict[tuple[int, ...], Fraction] = {}
-    for m in _lattice_points(kept, nbeta, kept, nbeta, signed=False):
+    for m in _lattice_points(kept, nbeta, kept, nbeta, [0] * (n - 1)):
         u = m[:n - 2] + (0,) + m[n - 2:]  # column n-2 held at 0
         terms[u] = gamma_coefficient(vtilde, [b + x - t for b, x, t in zip(base, u, vtilde)])
     span = max(sum(abs(x) for x in u) for u in terms) + 1

@@ -21,6 +21,8 @@ monomials  c * x^p * d^q  with multi-indices p, q >= 0.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -29,7 +31,7 @@ from .errors import InvalidInputError
 from .rationals import (
     as_rational,
     as_rational_vector,
-    falling_factorial,
+    falling_product,
     format_rational,
 )
 
@@ -214,25 +216,31 @@ class WeylOperator:
 
 def apply_operator(op: WeylOperator, f: TruncatedSeries) -> TruncatedSeries:
     """Apply op to f.  The result frontier shrinks by op.max_shift unless f
-    is exact; inside the returned frontier every coefficient is exact."""
+    is exact; inside the returned frontier every coefficient is exact.
+
+    Terms c x^p d^q of one shift p - q act together: c_u x^{base+u} adds
+    c_u * S at u + p - q, with S = sum c (base + u)_q an integer sum over one
+    denominator, so S = 0 (the Euler operator) costs no big multiply.
+    """
     if op.n != f.n:
         raise InvalidInputError("operator/series dimension mismatch")
-    if f.exact:
-        new_frontier, exact = f.frontier, True
-    else:
-        new_frontier = f.frontier.shrink(op.max_shift(f.frontier.weight))
-        exact = False
-    acc: dict[tuple[int, ...], Fraction] = {}
+    exact = f.exact
+    new_frontier = f.frontier if exact else f.frontier.shrink(op.max_shift(f.frontier.weight))
+    bp, bq = [b.numerator for b in f.base], [b.denominator for b in f.base]
+    groups: dict[tuple[int, ...], list] = {}
     for c_op, p, q in op.terms:
+        groups.setdefault(tuple(map(operator.sub, p, q)), []).append(
+            (c_op / math.prod(map(pow, bq, q)), [(i, qi) for i, qi in enumerate(q) if qi]))
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for shift, terms in groups.items():
+        den = math.lcm(*(k.denominator for k, _ in terms))
+        terms = [(k.numerator * (den // k.denominator), nz) for k, nz in terms]
         for u, c in f.terms.items():
-            exp = tuple(b + ui for b, ui in zip(f.base, u))
-            factor = falling_factorial(exp, q)
-            if factor == 0:
-                continue
-            newu = tuple(ui - qi + pi for ui, qi, pi in zip(u, q, p))
-            if not exact and not new_frontier.contains(newu):
-                continue
-            acc[newu] = acc.get(newu, Fraction(0)) + c_op * c * factor
+            s = sum(k * math.prod(falling_product(bp[i] + u[i] * bq[i], bq[i], qi)
+                                  for i, qi in nz) for k, nz in terms)
+            newu = tuple(map(operator.add, u, shift))
+            if s and (exact or new_frontier.contains(newu)):
+                acc[newu] = acc.get(newu, 0) + c * Fraction(s, den)
     return TruncatedSeries(f.base, acc, new_frontier, exact)
 
 

@@ -135,6 +135,16 @@ def test_term_cap_exit_code(capsys, monkeypatch):
         assert code == 3 and out == "" and "resource" in err, argv
 
 
+def test_term_cap_refuses_by_request_size_before_the_walk(capsys):
+    # the free ball of six coordinates at radius 40 holds about 4e8 points:
+    # refused before the enumeration starts, at the default cap
+    start = time.perf_counter()
+    code, out, err = run(capsys, "series", "-A", "1,2,3,4,5,6,7", "-b", "1/2",
+                         "--point", "singular", "--index", "0", "--bound", "40")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and "resource" in err
+
+
 def test_membership_answers_above_the_term_cap(capsys, monkeypatch):
     # one membership bit, from the Frobenius bound, whatever the size of beta
     for matrix in ("2,3", "3,4,5"):

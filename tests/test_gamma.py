@@ -223,3 +223,69 @@ def test_restrict_series_x0():
     # restricted series is killed by the general system (generic beta fact)
     gen_system = build_system(A, 2)
     assert all(r2.annihilated for r2 in verify_annihilation(gen_system.operators, r))
+
+
+# ---------------------------------------------------------------------------
+# gamma_series against the full-ball walk
+
+
+def gamma_coefficient_termwise(v, u):
+    """Gamma[v; u] from the definition, one Fraction factor at a time, and 0
+    when v + u changes the negative support (test oracle)."""
+    shifted = tuple(a + b for a, b in zip(v, u))
+    if nsupp(shifted) != nsupp(v):
+        return F(0)
+    out = F(1)
+    for vi, si, ui in zip(v, shifted, u):
+        for j in range(max(-ui, 0)):
+            out *= vi - j
+        for j in range(max(ui, 0)):
+            out /= si - j
+    return out
+
+
+def gamma_series_full_ball(v, system, frontier):
+    """Every kernel offset of the frontier ball, kept where the coefficient
+    is nonzero: the walk gamma_series made before it passed the box of N_v
+    to the enumerator (test oracle)."""
+    terms = {}
+    for u in enumerate_offsets(system.matrix, frontier):
+        c = gamma_coefficient(v, u)
+        assert c == gamma_coefficient_termwise(v, u)
+        if c != 0:
+            terms[u] = c
+    return terms
+
+
+EXPONENT_ENTRIES = st.sampled_from([F(-3), F(-1), F(0), F(1), F(2), F(-5, 2), F(1, 3),
+                                    F(-7, 4)])
+
+
+@st.composite
+def series_requests(draw):
+    entries, bound = draw(st.sampled_from([((2, 3), 30), ((2, 5), 30), ((3, 4), 30),
+                                           ((1, 2, 5), 12), ((1, 3, 7), 12),
+                                           ((1, 2, 3, 5), 7)]))
+    v = tuple(draw(st.lists(EXPONENT_ENTRIES, min_size=len(entries), max_size=len(entries))))
+    weight = tuple(draw(st.lists(st.integers(1, 3), min_size=len(entries),
+                                 max_size=len(entries))))
+    beta = sum(a * x for a, x in zip(entries, v))
+    return build_system(entries, beta), v, TruncationFrontier(weight, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_requests())
+def test_gamma_series_matches_full_ball_walk(request):
+    system, v, frontier = request
+    f = gamma_series(v, system, frontier)
+    assert f.terms == gamma_series_full_ball(v, system, frontier)
+    assert f.frontier == frontier and not f.exact
+
+
+def test_gamma_series_matches_full_ball_walk_on_bench_sizes():
+    for entries, beta, bound in (((2, 3), F(1), 400), ((1, 2, 5), F(1, 2), 60),
+                                 ((1, 2, 3, 5), F(3, 2), 24)):
+        system = build_system(entries, beta)
+        fr = TruncationFrontier.uniform(system.n, bound)
+        for v in singular_exponents(system) + generic_exponents(system):
+            assert gamma_series(v, system, fr).terms == gamma_series_full_ball(v, system, fr)

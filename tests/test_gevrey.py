@@ -1,10 +1,15 @@
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkzcurve.errors import InvalidInputError
 from gkzcurve.gamma import gamma_series, singular_exponents
 from gkzcurve.gevrey import (
+    _diagonal_direction,
+    _inverse,
+    _least_squares,
     dimension_table,
     gevrey_index_estimate,
     polynomial_solution,
@@ -12,6 +17,7 @@ from gkzcurve.gevrey import (
     slope_threshold,
 )
 from gkzcurve.lattice import curve_matrix, homogenize_matrix, in_semigroup
+from gkzcurve.rationals import log_abs
 from gkzcurve.series import TruncationFrontier, apply_operator, verify_annihilation
 from gkzcurve.system import build_system
 
@@ -48,6 +54,57 @@ def test_gevrey_estimate_pinned_to_recorded_values():
     est = gevrey_index_estimate(f, 1, matrix=system.matrix)
     assert est["estimate"] == pytest.approx(1.499477286438312, rel=1e-9)
     assert est["stderr"] == pytest.approx(2.373633242990137e-05, rel=1e-9)
+
+
+def least_squares_fraction(d, y):
+    """The fit of _least_squares with every float point turned into a
+    Fraction and summed over the rationals (test oracle)."""
+    ln = [math.log(di) for di in d]
+    cols = [[F(x) for x in col]
+            for col in ([di * li for di, li in zip(d, ln)], d, ln, [1.0] * len(d))]
+    yf = [F(v) for v in y]
+    N = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
+    r = [sum(a * b for a, b in zip(ci, yf)) for ci in cols]
+    inv = _inverse(N)
+    coef = [sum(a * b for a, b in zip(row, r)) for row in inv]
+    rss = sum(v * v for v in yf) - sum(c * ri for c, ri in zip(coef, r))
+    dof = max(len(d) - len(cols), 1)
+    return float(coef[0]), math.sqrt(float(rss / dof * inv[0][0]))
+
+
+def diagonal_points(f, var, matrix):
+    """(degree, ln|c|) along the growth diagonal, after the 20% burn-in."""
+    z = _diagonal_direction(matrix, var)
+    pts = []
+    m = 0
+    while f.frontier.contains(u := tuple(m * x for x in z)):
+        c = f.coefficient(u)
+        if c != 0 and f.base[var] + u[var] >= 1:
+            pts.append((float(f.base[var] + u[var]), log_abs(c)))
+        m += 1
+    return pts[len(pts) // 5:]
+
+
+@pytest.mark.parametrize("entries,beta,index,var,bound", [
+    ((2, 3), 1, 1, 1, 160), ((2, 5), 1, 1, 1, 230), ((3, 4), 1, 1, 1, 230),
+    ((3, 7), 2, 1, 1, 320), ((1, 2, 5), 1, 0, 2, 220), ((2, 3), F(1, 2), 0, 1, 160)])
+def test_integer_fit_is_bit_identical_to_fraction_solve(entries, beta, index, var, bound):
+    f, system = singular_series(entries, beta, index, bound)
+    pts = diagonal_points(f, var, system.matrix)
+    d, y = [p[0] for p in pts], [p[1] for p in pts]
+    alpha, stderr = least_squares_fraction(d, y)
+    assert _least_squares(d, y) == (alpha, stderr)
+    est = gevrey_index_estimate(f, var, matrix=system.matrix)
+    assert (est["estimate"], est["stderr"]) == (1.0 + alpha, stderr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.integers(2, 4000), min_size=5, max_size=40),
+       st.data())
+def test_integer_fit_matches_fraction_solve_on_random_points(degrees, data):
+    d = sorted(k / 2 for k in degrees)
+    y = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(d), max_size=len(d)))
+    assert _least_squares(d, y) == least_squares_fraction(d, y)
 
 
 def test_gevrey_estimate_smooth_needs_matrix():

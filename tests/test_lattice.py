@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gkzcurve.errors import InvalidInputError, ResourceLimitError
 from gkzcurve.lattice import (
+    _ball_count,
     _lattice_points,
     curve_matrix,
     delta_j_set,
@@ -222,8 +223,9 @@ def test_enumerate_offsets_cap(monkeypatch):
     rhs=st.integers(-6, 6),
     bound=st.integers(-1, 8),
     signed=st.booleans(),
+    clips=st.data(),
 )
-def test_lattice_points_match_box_scan(data, c0, w0, rhs, bound, signed):
+def test_lattice_points_match_box_scan(data, c0, w0, rhs, bound, signed, clips):
     coeffs = (c0,) + tuple(c for c, _ in data)
     weight = (w0,) + tuple(w for _, w in data)
     box = [range(-(bound // w) if signed else 0, bound // w + 1) if bound >= 0 else range(0)
@@ -233,7 +235,50 @@ def test_lattice_points_match_box_scan(data, c0, w0, rhs, bound, signed):
         if sum(c * xi for c, xi in zip(coeffs, x)) == rhs
         and sum(w * abs(xi) for w, xi in zip(weight, x)) <= bound
     )
-    assert _lattice_points(coeffs, rhs, weight, bound, signed) == expected
+    n = len(coeffs)
+    assert _lattice_points(coeffs, rhs, weight, bound, [None if signed else 0] * n) == expected
+    # per-coordinate bounds clip the same scan
+    bounds = st.lists(st.one_of(st.none(), st.integers(-4, 4)), min_size=n, max_size=n)
+    lower, upper = clips.draw(bounds), clips.draw(bounds)
+    if not signed:
+        lower = [0 if lo is None else max(lo, 0) for lo in lower]
+    clipped = [x for x in expected
+               if all(lo is None or lo <= xi for lo, xi in zip(lower, x))
+               and all(hi is None or xi <= hi for hi, xi in zip(upper, x))]
+    assert _lattice_points(coeffs, rhs, weight, bound, lower, upper) == clipped
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(0, 4), r=st.integers(0, 7), signed=st.booleans(),
+       weight=st.lists(st.integers(1, 3), min_size=4, max_size=4))
+def test_ball_count_against_brute_force(d, r, signed, weight):
+    box = list(itertools.product(range(-r if signed else 0, r + 1), repeat=d))
+    assert _ball_count(d, r, signed) == sum(sum(map(abs, x)) <= r for x in box)
+    # weighted balls: counted at radius r // min weight, never below the truth
+    w = weight[:d]
+    if d:
+        true = sum(sum(wi * abs(xi) for wi, xi in zip(w, x)) <= r for x in box)
+        assert _ball_count(d, r // min(w), signed) >= true
+
+
+def test_term_cap_counts_the_request_not_the_output(monkeypatch):
+    # x_0 + x_1 + x_2 + x_3 = 0 in the ball of radius 6: the free ball of
+    # x_1, x_2, x_3 holds 377 points and fewer are kept, yet the cap counts 377
+    coeffs, weight = (1, 1, 1, 1), (1, 1, 1, 1)
+    ball = _ball_count(3, 6, True)
+    monkeypatch.setenv("GKZ_TERM_CAP", str(ball))
+    kept = _lattice_points(coeffs, 0, weight, 6, [None] * 4)
+    assert 0 < len(kept) < ball
+    monkeypatch.setenv("GKZ_TERM_CAP", str(ball - 1))
+    with pytest.raises(ResourceLimitError):
+        _lattice_points(coeffs, 0, weight, 6, [None] * 4)
+    # over x >= 0 the smaller ball is counted, C(6 + 3, 3)
+    monkeypatch.setenv("GKZ_TERM_CAP", str(_ball_count(3, 6, False)))
+    assert _lattice_points(coeffs, 6, weight, 6, [0] * 4)
+    # upper bounds clip the output but not the request: x_1, x_2, x_3 <= 0
+    # mirrors the x >= 0 walk above, yet the signed ball is counted
+    with pytest.raises(ResourceLimitError):
+        _lattice_points(coeffs, 6, weight, 6, [0] + [None] * 3, [None] + [0] * 3)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from gkzcurve.errors import InvalidInputError
 from gkzcurve.rationals import (
     falling_factorial,
     falling_factorial_1d,
+    falling_product,
     format_rational,
     log_abs,
     parse_rational,
@@ -43,6 +44,16 @@ def test_falling_factorial_rejects_negative_steps():
 def test_falling_factorial_shift_rule(z, k):
     # (z)_{k+1} = (z)_k * (z - k)
     assert falling_factorial_1d(z, k + 1) == falling_factorial_1d(z, k) * (z - k)
+
+
+@given(rationals, st.integers(min_value=0, max_value=25))
+def test_falling_factorial_matches_fraction_loop(z, k):
+    # the loop over z - j, one Fraction factor at a time (test oracle)
+    oracle = F(1)
+    for j in range(k):
+        oracle *= z - j
+    assert falling_factorial_1d(z, k) == oracle
+    assert falling_product(z.numerator, z.denominator, k) == oracle * z.denominator**k
 
 
 @given(

@@ -2,9 +2,11 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gkzcurve.errors import InvalidInputError
+from gkzcurve.gamma import gamma_series, singular_exponents
+from gkzcurve.gevrey import polynomial_solution
 from gkzcurve.series import (
     TruncatedSeries,
     TruncationFrontier,
@@ -12,6 +14,7 @@ from gkzcurve.series import (
     apply_operator,
     verify_annihilation,
 )
+from gkzcurve.system import build_system
 
 
 def frontier2(bound=10):
@@ -111,3 +114,85 @@ def test_exact_series_skip_frontier_shrink():
     assert g.exact and g.frontier.bound == 4
     assert g.coefficient((-2, 0)) == 2          # d^2 x^2 = 2
     assert g.coefficient((4, 0)) == 8 * 7       # d^2 x^8
+
+
+# ---------------------------------------------------------------------------
+# apply_operator against the term-by-term loop
+
+
+def apply_operator_termwise(op, f):
+    """Every operator term times every source term, one Fraction at a time:
+    the loop apply_operator ran before it grouped terms by shift (test
+    oracle)."""
+    if f.exact:
+        new_frontier, exact = f.frontier, True
+    else:
+        new_frontier, exact = f.frontier.shrink(op.max_shift(f.frontier.weight)), False
+    acc = {}
+    for c_op, p, q in op.terms:
+        for u, c in f.terms.items():
+            factor = F(1)
+            for b, ui, qi in zip(f.base, u, q):
+                for j in range(qi):
+                    factor *= b + ui - j
+            if factor == 0:
+                continue
+            newu = tuple(ui - qi + pi for ui, qi, pi in zip(u, q, p))
+            if not exact and not new_frontier.contains(newu):
+                continue
+            acc[newu] = acc.get(newu, F(0)) + c_op * c * factor
+    return TruncatedSeries(f.base, acc, new_frontier, exact)
+
+
+SMALL_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def weyl_operators(draw, n):
+    """A few shifts, each shared by several terms x^p d^q with p - q = shift."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        shift = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        for _ in range(draw(st.integers(1, 3))):
+            q = [draw(st.integers(max(0, -s), 3)) for s in shift]
+            p = [qi + s for qi, s in zip(q, shift)]
+            terms.append((draw(SMALL_RATIONALS), p, q))
+    return WeylOperator(n, terms)
+
+
+@st.composite
+def truncated_series(draw, n):
+    base = draw(st.lists(st.sampled_from([F(-2), F(0), F(3), F(1, 2), F(-5, 3)]),
+                         min_size=n, max_size=n))
+    frontier = TruncationFrontier.uniform(n, draw(st.integers(0, 8)))
+    exact = draw(st.booleans())
+    offsets = st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(tuple)
+    if not exact:
+        offsets = offsets.filter(frontier.contains)
+    terms = draw(st.dictionaries(offsets, SMALL_RATIONALS, max_size=8))
+    return TruncatedSeries(base, terms, frontier, exact)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(weyl_operators(n), truncated_series(n))))
+def test_apply_operator_matches_termwise_loop(pair):
+    op, f = pair
+    got, want = apply_operator(op, f), apply_operator_termwise(op, f)
+    assert got.terms == want.terms
+    assert got.frontier == want.frontier and got.exact == want.exact
+
+
+def test_apply_operator_matches_termwise_loop_on_gamma_series():
+    for entries, beta, bound in (((2, 3), F(1, 2), 200), ((1, 2, 5), F(3, 2), 40),
+                                 ((1, 2, 3, 5), F(1), 16)):
+        system = build_system(entries, beta)
+        f = gamma_series(singular_exponents(system)[0], system,
+                         TruncationFrontier.uniform(system.n, bound))
+        for op in system.operators:
+            assert apply_operator(op, f).terms == apply_operator_termwise(op, f).terms
+    # an exact series: the polynomial solution, with every operator
+    system = build_system((1, 2, 5), 12)
+    _, f = polynomial_solution((1, 2, 5), 12)
+    for op in system.operators:
+        got = apply_operator(op, f)
+        assert got.terms == apply_operator_termwise(op, f).terms and got.exact
