@@ -14,6 +14,7 @@ from .gamma import (
     gamma_series,
     generic_exponents,
     has_minimal_nsupp,
+    lift,
     modified_exponent,
     modified_series,
     nsupp,

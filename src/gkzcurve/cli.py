@@ -17,6 +17,7 @@ from .gamma import (
     gamma_series,
     generic_exponents,
     has_minimal_nsupp,
+    lift,
     modified_series,
     singular_exponents,
 )
@@ -26,7 +27,7 @@ from .gevrey import (
     polynomial_solution,
     slope_report,
 )
-from .lattice import curve_matrix, homogenize_matrix
+from .lattice import curve_matrix
 from .rationals import format_rational, parse_rational
 from .restriction import (
     b_function_1kakb,
@@ -54,15 +55,14 @@ def _emit(args, payload, text: str | None = None) -> None:
         sys.stdout.write((text if text is not None else json.dumps(payload, indent=2)) + "\n")
 
 
+_EXPONENTS = {"singular": singular_exponents, "generic": generic_exponents}
+
+
 def _exponent_payload(system, which: str):
-    if which == "singular":
-        vs = singular_exponents(system)
-    else:
-        vs = generic_exponents(system)
+    lifted = lift(system.matrix)[0]
     out = []
-    for v in vs:
-        res = has_minimal_nsupp(v, system.matrix if len(v) == system.n
-                                else homogenize_matrix(system.matrix))
+    for v in _EXPONENTS[which](system):
+        res = has_minimal_nsupp(v, lifted)
         out.append({
             "index": v.index,
             "vector": [format_rational(x) for x in v],
@@ -70,13 +70,6 @@ def _exponent_payload(system, which: str):
             "exact_check": res.exact,
         })
     return out
-
-
-def _pick_exponent(system, which: str, index: int):
-    vs = singular_exponents(system) if which == "singular" else generic_exponents(system)
-    if not 0 <= index < len(vs):
-        raise InvalidInputError(f"index {index} out of range for {which} exponents")
-    return vs[index]
 
 
 def cmd_exponents(args):
@@ -95,25 +88,30 @@ def cmd_exponents(args):
     _emit(args, payload, "\n".join(lines))
 
 
-def _series_for(args, system):
+def _series(args):
+    """The user's system and the series that ``--point`` and ``--index`` ask
+    for: an exponent's series is expanded on the lift of the matrix."""
+    system = build_system(_matrix(args.matrix), parse_rational(args.beta))
     if args.bound < 0:
         raise InvalidInputError("--bound must be nonnegative")
-    frontier = TruncationFrontier.uniform(system.n, args.bound)
     if args.point == "modified":
-        return modified_series(system, frontier)
-    v = _pick_exponent(system, args.point, args.index)
-    return gamma_series(v, system, frontier)
+        return system, modified_series(system, TruncationFrontier.uniform(system.n, args.bound))
+    vs = _EXPONENTS[args.point](system)
+    if not 0 <= args.index < len(vs):
+        raise InvalidInputError(f"index {args.index} out of range for {args.point} exponents")
+    lifted, down = lift(system.matrix)
+    up = system if lifted is system.matrix else build_system(lifted, system.beta)
+    frontier = TruncationFrontier.uniform(lifted.n, args.bound)
+    return system, down(gamma_series(vs[args.index], up, frontier))
 
 
 def cmd_series(args):
-    system = build_system(_matrix(args.matrix), parse_rational(args.beta))
-    f = _series_for(args, system)
+    f = _series(args)[1]
     _emit(args, f.to_json(), repr(f))
 
 
 def cmd_verify(args):
-    system = build_system(_matrix(args.matrix), parse_rational(args.beta))
-    f = _series_for(args, system)
+    system, f = _series(args)
     reports = verify_annihilation(system.operators, f)
     payload = {
         "series": repr(f),
@@ -137,8 +135,7 @@ def cmd_verify(args):
 
 
 def cmd_gevrey_index(args):
-    system = build_system(_matrix(args.matrix), parse_rational(args.beta))
-    f = _series_for(args, system)
+    system, f = _series(args)
     est = gevrey_index_estimate(f, args.var, args.min_terms, matrix=system.matrix)
     _emit(args, est, f"estimate = {est['estimate']:.4f} +- {est['stderr']:.4f}")
 

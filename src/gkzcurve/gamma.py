@@ -20,7 +20,8 @@ Exponent menagerie per family (indices 0-based in code):
                  singular  v^j = (j, 0,.., (beta-j)/a_{n-1}, 0),  j < a_{n-1}
                  generic   w^j = (j, 0,..,0, (beta-j)/a_n),       j < a_n
 * general:       exponents of the homogenized matrix (1 a_1 .. a_n), to be
-                 restricted to x_0 = 0 afterwards (generic-parameter facts).
+                 restricted to x_0 = 0 afterwards (generic-parameter facts);
+                 :func:`lift` returns that matrix and that restriction.
 
 When beta lies in the semigroup N A there is additionally a *modified*
 exponent vtilde: the unique lattice translate of the polynomial exponent
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
 from .lattice import (
@@ -165,10 +166,9 @@ def _exponent_axes(A: CurveMatrix, which: str) -> tuple[tuple[int, ...], int, in
 
     Vector k is zero except in two coordinates: ``free`` holds k and
     ``solved`` is fixed by A.v = beta, with k below entries[solved] (see
-    the table in the module docstring).  A general matrix uses the entries
-    of its homogenization.
+    the table in the module docstring), taken from the lift of A.
     """
-    ent = homogenize_matrix(A).entries if A.family == "general" else A.entries
+    ent = lift(A)[0].entries
     n = len(ent)
     if which == "generic":
         return ent, 0, n - 1
@@ -206,10 +206,10 @@ def _polynomial_exponent(A: CurveMatrix, beta: Fraction) -> ExponentVector:
 def singular_exponents(system: HypergeometricSystem) -> list[ExponentVector]:
     """Exponents of the solution basis along the singular direction.
 
-    plane: a vectors; smooth/homogenized: a_{n-1} vectors.  For a general
-    matrix the exponents of the homogenized matrix are returned (one extra
-    coordinate); their series restrict to solutions at x_0 = 0 for generic
-    parameters.  Raises ResourceLimitError above the term cap.
+    plane: a vectors; smooth/homogenized: a_{n-1} vectors.  They are the
+    exponents of lift(A), one coordinate longer for a general matrix; their
+    series restrict to solutions at x_0 = 0 for generic parameters.  Raises
+    ResourceLimitError above the term cap.
     """
     return _exponent_list(system.matrix, system.beta, "singular")
 
@@ -227,8 +227,7 @@ def generic_exponents(system: HypergeometricSystem) -> list[ExponentVector]:
 
 
 def _beta_in_semigroup(A: CurveMatrix, beta: Fraction) -> bool:
-    ent = A.base.entries if A.family == "homogenized" and A.base else A.entries
-    return beta.denominator == 1 and in_semigroup(ent, int(beta))
+    return beta.denominator == 1 and in_semigroup(A.entries, int(beta))
 
 
 def modified_exponent(system: HypergeometricSystem) -> Optional[tuple[int, ExponentVector]]:
@@ -280,7 +279,7 @@ def modified_series(system: HypergeometricSystem,
 
 
 # ---------------------------------------------------------------------------
-# restriction of a series to x_0 = 0
+# restriction of a series to x_0 = 0, and the lift of a general matrix
 
 
 def restrict_series_x0(f: TruncatedSeries) -> TruncatedSeries:
@@ -303,3 +302,12 @@ def restrict_series_x0(f: TruncatedSeries) -> TruncatedSeries:
         if u[0] + k0 == 0:
             terms[u[1:]] = c
     return TruncatedSeries(f.base[1:], terms, new_frontier, f.exact)
+
+
+def lift(A: CurveMatrix) -> tuple[CurveMatrix, Callable[[TruncatedSeries], TruncatedSeries]]:
+    """(A', down): the matrix whose Gamma series solve for A, and the map that
+    brings such a series back to A.  A general matrix is homogenized and its
+    series restricted to x_0 = 0; any other matrix is its own lift."""
+    if A.family == "general":
+        return homogenize_matrix(A), restrict_series_x0
+    return A, lambda f: f

@@ -37,14 +37,12 @@ from .gamma import (
     _beta_in_semigroup,
     _polynomial_exponent,
     gamma_coefficient,
-    restrict_series_x0,
+    lift,
 )
 from .lattice import (
     CurveMatrix,
     _lattice_points,
     curve_matrix,
-    homogenize_matrix,
-    in_semigroup,
     term_cap,
 )
 from .rationals import as_rational, log_abs
@@ -136,10 +134,9 @@ def gevrey_index_estimate(f: TruncatedSeries, var: int, min_terms: int = 8,
             if d >= 1.0:
                 points.append((d, log_abs(c)))
         m += 1
-    if len(points) < min_terms:
-        raise InvalidInputError(
-            f"only {len(points)} diagonal terms available, need {min_terms}"
-        )
+    need = max(min_terms, 1)  # the fit below needs at least one point
+    if len(points) < need:
+        raise InvalidInputError(f"only {len(points)} diagonal terms available, need {need}")
     burn = len(points) // 5
     points = points[burn:]
     d = [p[0] for p in points]
@@ -333,7 +330,7 @@ def dimension_table(A, beta, s) -> DimensionTable:
     beta = as_rational(beta)
     s = _coerce_s(s)
     thr = slope_threshold(A)
-    special = beta.denominator == 1 and in_semigroup(A.entries, int(beta))
+    special = _beta_in_semigroup(A, beta)
     rank0 = A.entries[-2]
     validity = "generic-beta" if A.family == "general" else "exact"
     high = _s_at_least(s, thr)
@@ -372,10 +369,10 @@ def polynomial_solution(A, beta) -> Optional[tuple[int, TruncatedSeries]]:
     nonnegative integer vector, and its Gamma series terminates.  The
     monomials are the x >= 0 with A.x = beta, each with coefficient
     Gamma[v^q; x - v^q].  The series is exact (complete) and can be checked
-    against the system without frontier loss.  A general matrix restricts
-    the polynomial of its homogenization to x_0 = 0.  Raises
-    ResourceLimitError for beta above the term cap, since the monomials fill
-    a ball of radius beta.
+    against the system without frontier loss.  beta is tested against the
+    semigroup of A; the polynomial is computed on lift(A) and brought down.
+    Raises ResourceLimitError for beta above the term cap, since the
+    monomials fill a ball of radius beta.
     """
     if not isinstance(A, CurveMatrix):
         A = curve_matrix(A)
@@ -384,10 +381,7 @@ def polynomial_solution(A, beta) -> Optional[tuple[int, TruncatedSeries]]:
         return None
     if beta > term_cap():
         raise ResourceLimitError(f"polynomial solution for beta = {beta} exceeds the term cap")
-    if A.family == "general":
-        q, f = polynomial_solution(homogenize_matrix(A), beta)
-        return q, restrict_series_x0(f)
-
+    A, down = lift(A)
     v = _polynomial_exponent(A, beta)
     nbeta = int(beta)
     terms = {}
@@ -396,4 +390,4 @@ def polynomial_solution(A, beta) -> Optional[tuple[int, TruncatedSeries]]:
         terms[u] = gamma_coefficient(v, u)
     span = max((sum(abs(x) for x in u) for u in terms), default=0)
     frontier = TruncationFrontier.uniform(len(v), span)
-    return v.index, TruncatedSeries(v.v, terms, frontier, exact=True)
+    return v.index, down(TruncatedSeries(v.v, terms, frontier, exact=True))

@@ -65,8 +65,6 @@ def homogenize(A, beta) -> Homogenization:
     """Homogenize a general matrix and assemble the A'-system for beta."""
     if not isinstance(A, CurveMatrix):
         A = curve_matrix(A)
-    if A.family != "general":
-        raise InvalidInputError("homogenize expects a general matrix")
     Ah = homogenize_matrix(A)
     system = build_system(Ah, beta)
     data = [minimal_delta(A, i) for i in range(A.n)]

@@ -24,12 +24,11 @@ from gkzcurve import (
     gevrey_envelope_fit,
     gevrey_index_estimate,
     has_minimal_nsupp,
-    homogenize,
+    lift,
     minimal_delta,
     polynomial_solution,
     recurrence_series,
     restrict_decomposition,
-    restrict_series_x0,
     semigroup_contains,
     series_equal,
     singular_exponents,
@@ -184,15 +183,15 @@ def test_criterion_6_bfunction_and_restriction():
 def test_criterion_7_homogenization_round_trip():
     start = time.perf_counter()
     A = curve_matrix((3, 4, 5))
-    hom = homogenize(A, 0)
-    general = build_system(A, 0)
+    Ah, down = lift(A)
+    upstairs, general = build_system(Ah, 0), build_system(A, 0)
     fr = TruncationFrontier.uniform(4, 40)
     count = 0
-    for v in singular_exponents(hom.system):
-        f = gamma_series(v, hom.system, fr)
+    for v in singular_exponents(general):
+        f = gamma_series(v, upstairs, fr)
         assert all(r.annihilated
-                   for r in verify_annihilation(hom.system.operators, f))
-        g = restrict_series_x0(f)
+                   for r in verify_annihilation(upstairs.operators, f))
+        g = down(f)
         assert all(r.annihilated
                    for r in verify_annihilation(general.operators, g))
         count += 1

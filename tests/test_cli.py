@@ -6,11 +6,24 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from gkzcurve import (
+    TruncationFrontier,
+    build_system,
+    curve_matrix,
+    gamma_series,
+    generic_exponents,
+    has_minimal_nsupp,
+    homogenize_matrix,
+    restrict_series_x0,
+    singular_exponents,
+)
 from gkzcurve.cli import main
+from gkzcurve.rationals import format_rational
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -112,6 +125,57 @@ def test_exit_codes(capsys):
     code, _, err = run(capsys, "gevrey-index", "-A", "2,3", "-b", "1", "--index", "1",
                        "--var", "1", "--bound", "9", "--min-terms", "0")
     assert code == 2 and err.startswith("error:")
+    # no diagonal point at all: refused, not a crash of the fit
+    code, _, err = run(capsys, "gevrey-index", "-A", "1,2", "--var", "0", "--min-terms", "0")
+    assert code == 2 and err.startswith("error:")
+    code, _, err = run(capsys, "homogenize", "-A", "2,3")
+    assert code == 2 and "general matrix" in err
+
+
+# ---------------------------------------------------------------------------
+# a general matrix: series on the homogenization, restricted to x_0 = 0
+
+
+def test_general_matrix_verify(capsys):
+    for point, index in (("singular", "0"), ("generic", "2")):
+        ver = run_json(capsys, "verify", "-A", "3,4,5", "-b", "1/2",
+                       "--point", point, "--index", index)
+        # the binomials of build_system((3 4 5)) plus the Euler operator
+        assert len(ver["reports"]) == len(build_system((3, 4, 5), F(1, 2)).operators) == 33
+        assert ver["all_annihilated"], point
+
+
+def test_general_matrix_series_is_the_restricted_library_series(capsys):
+    data = run_json(capsys, "series", "-A", "3,4,5", "-b", "1/2",
+                    "--point", "generic", "--index", "2", "--bound", "20")
+    up = build_system(homogenize_matrix(curve_matrix((3, 4, 5))), F(1, 2))
+    f = gamma_series(generic_exponents(up)[2], up, TruncationFrontier.uniform(4, 20))
+    assert data == restrict_series_x0(f).to_json()
+    assert len(data["base"]) == 3 and data["terms"]
+
+
+def test_general_matrix_gevrey_index_and_modified(capsys):
+    data = run_json(capsys, "gevrey-index", "-A", "3,4,5", "-b", "1/2", "--point", "singular",
+                    "--index", "0", "--bound", "90", "--var", "2")
+    assert abs(data["estimate"] - 1.25) < 0.10  # a_n / a_{n-1} = 5/4
+    # the modified series of a general matrix lives upstairs: still refused
+    code, out, err = run(capsys, "series", "-A", "3,4,5", "-b", "3", "--point", "modified")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("matrix", [(3, 4, 5), (4, 5, 6, 7)], ids=str)
+def test_general_matrix_exponents_checked_on_the_homogenization(capsys, matrix):
+    data = run_json(capsys, "exponents", "-A", ",".join(map(str, matrix)), "-b", "2")
+    system = build_system(matrix, 2)
+    Ah = homogenize_matrix(system.matrix)
+    for which, vs in (("singular", singular_exponents(system)),
+                      ("generic", generic_exponents(system))):
+        checks = [(v, has_minimal_nsupp(v, Ah)) for v in vs]
+        assert data[which] == [
+            {"index": v.index, "vector": [format_rational(x) for x in v],
+             "minimal_negative_support": res.minimal, "exact_check": res.exact}
+            for v, res in checks
+        ]
 
 
 def test_term_cap_exit_code(capsys, monkeypatch):
@@ -252,6 +316,7 @@ def argvs(draw):
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argvs())
+@example(argv=["gevrey-index", "-A", "1,2", "--var", "0", "--min-terms", "0"])
 def test_fuzz_argv_exit_codes(monkeypatch, argv):
     monkeypatch.setenv("GKZ_TERM_CAP", "2000")
     out, err = io.StringIO(), io.StringIO()

@@ -11,6 +11,7 @@ from gkzcurve.gamma import (
     gamma_series,
     generic_exponents,
     has_minimal_nsupp,
+    lift,
     modified_exponent,
     modified_series,
     nsupp,
@@ -193,6 +194,15 @@ def test_modified_exponent_smooth():
     # general (3 4 5): on the homogenized matrix (1 3 4 5), q = 3 mod 4
     q, vt = modified_exponent(build_system((3, 4, 5), 3))
     assert q == 3 and vt.v == (F(7), F(0), F(-1), F(0))
+    # a homogenized matrix answers as the smooth matrix with the same
+    # entries: its own semigroup holds every beta >= 0, the gaps 1, 2 of
+    # <3,4,5> included
+    Ah = homogenize_matrix(curve_matrix((3, 4, 5)))
+    for beta in range(13):
+        got = modified_exponent(build_system(Ah, beta))
+        assert got == modified_exponent(build_system((1, 3, 4, 5), beta)), beta
+        assert got is not None
+    assert modified_exponent(build_system((3, 4, 5), 2)) is None
 
 
 def test_modified_series_not_minimal_but_euler_killed():
@@ -223,6 +233,20 @@ def test_restrict_series_x0():
     # restricted series is killed by the general system (generic beta fact)
     gen_system = build_system(A, 2)
     assert all(r2.annihilated for r2 in verify_annihilation(gen_system.operators, r))
+
+
+def test_lift_homogenizes_only_a_general_matrix():
+    A = curve_matrix((3, 4, 5))
+    Ah, down = lift(A)
+    assert Ah == homogenize_matrix(A) and down is restrict_series_x0
+    for entries in ((2, 3), (1, 2, 5)):
+        system = build_system(entries, 1)
+        same, identity = lift(system.matrix)
+        assert same is system.matrix
+        f = gamma_series(singular_exponents(system)[0], system,
+                         TruncationFrontier.uniform(system.n, 10))
+        assert identity(f) is f
+    assert lift(Ah)[0] is Ah
 
 
 # ---------------------------------------------------------------------------

@@ -294,3 +294,20 @@ def test_polynomial_solution_general_via_homogenization():
         assert apply_operator(op, f).is_zero()
     # 1, 2 are gaps of the semigroup <3,4,5>
     assert polynomial_solution((3, 4, 5), 2) is None
+
+
+def test_polynomial_solution_homogenized_matches_smooth():
+    # the homogenized matrix asks about its own semigroup, which holds every
+    # beta >= 0; oracle: the smooth matrix with the same entries
+    Ah = homogenize_matrix(curve_matrix((3, 4, 5)))
+    for beta in range(13):
+        q, f = polynomial_solution(Ah, beta)
+        q1, f1 = polynomial_solution((1, 3, 4, 5), beta)
+        assert (q, f.to_json()) == (q1, f1.to_json()), beta
+        system = build_system(Ah, beta)
+        assert len(system.extra) == 3  # the contiguity operators Q_i
+        for op in system.operators:
+            assert apply_operator(op, f).is_zero(), (beta, op)
+    _, f = polynomial_solution(Ah, 1)
+    assert f.base == (1, 0, 0, 0) and f.terms == {(0, 0, 0, 0): 1}  # x_0
+    assert polynomial_solution((3, 4, 5), 2) is None

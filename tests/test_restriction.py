@@ -4,8 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from gkzcurve.errors import InvalidInputError
-from gkzcurve.gamma import modified_series, restrict_series_x0, singular_exponents
-from gkzcurve.gamma import gamma_series
+from gkzcurve.gamma import gamma_series, lift, modified_series, singular_exponents
 from gkzcurve.lattice import curve_matrix, homogenize_matrix
 from gkzcurve.rationals import log_abs
 from gkzcurve.restriction import (
@@ -40,19 +39,20 @@ def test_homogenize_data():
 
 
 def test_homogenize_rejects_non_general():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="general matrix"):
         homogenize(curve_matrix((2, 3)), 0)
 
 
 def test_homogenized_round_trip_annihilation():
     A = curve_matrix((3, 4, 5))
-    hom = homogenize(A, 0)
-    general = build_system(A, 0)
+    Ah, down = lift(A)
+    upstairs, general = build_system(Ah, 0), build_system(A, 0)
+    assert upstairs.operators == homogenize(A, 0).system.operators
     fr = TruncationFrontier.uniform(4, 24)
-    for v in singular_exponents(hom.system):
-        f = gamma_series(v, hom.system, fr)
-        assert all(r.annihilated for r in verify_annihilation(hom.system.operators, f))
-        restricted = restrict_series_x0(f)
+    for v in singular_exponents(general):
+        f = gamma_series(v, upstairs, fr)
+        assert all(r.annihilated for r in verify_annihilation(upstairs.operators, f))
+        restricted = down(f)
         assert all(
             r.annihilated for r in verify_annihilation(general.operators, restricted)
         )
