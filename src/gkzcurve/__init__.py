@@ -7,7 +7,7 @@ restriction / homogenization isomorphisms — all at desk scale, backed by
 frontier-truncated exact series.
 """
 
-from .errors import InvalidInputError, InvariantViolationError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError
 from .gamma import (
     ExponentVector,
     gamma_coefficient,
@@ -41,12 +41,7 @@ from .lattice import (
     minimal_delta,
     semigroup_contains,
 )
-from .rationals import (
-    falling_factorial,
-    falling_factorial_1d,
-    format_rational,
-    parse_rational,
-)
+from .rationals import format_rational, parse_rational
 from .restriction import (
     BFunction,
     Homogenization,

@@ -89,29 +89,32 @@ def cmd_exponents(args):
 
 
 def _series(args):
-    """The user's system and the series that ``--point`` and ``--index`` ask
-    for: an exponent's series is expanded on the lift of the matrix."""
-    system = build_system(_matrix(args.matrix), parse_rational(args.beta))
+    """(A, system, f): the user's matrix, the one system built here, and the
+    series that ``--point`` and ``--index`` ask for, expanded on the system of
+    lift(A) and brought down to A; a modified series lives on A's own system."""
+    A, beta = _matrix(args.matrix), parse_rational(args.beta)
     if args.bound < 0:
         raise InvalidInputError("--bound must be nonnegative")
+    lifted, down = lift(A)
+    system = build_system(A if args.point == "modified" else lifted, beta)
+    frontier = TruncationFrontier.uniform(system.n, args.bound)
     if args.point == "modified":
-        return system, modified_series(system, TruncationFrontier.uniform(system.n, args.bound))
+        return A, system, modified_series(system, frontier)
     vs = _EXPONENTS[args.point](system)
     if not 0 <= args.index < len(vs):
         raise InvalidInputError(f"index {args.index} out of range for {args.point} exponents")
-    lifted, down = lift(system.matrix)
-    up = system if lifted is system.matrix else build_system(lifted, system.beta)
-    frontier = TruncationFrontier.uniform(lifted.n, args.bound)
-    return system, down(gamma_series(vs[args.index], up, frontier))
+    return A, system, down(gamma_series(vs[args.index], system, frontier))
 
 
 def cmd_series(args):
-    f = _series(args)[1]
+    f = _series(args)[2]
     _emit(args, f.to_json(), repr(f))
 
 
 def cmd_verify(args):
-    system, f = _series(args)
+    A, system, f = _series(args)
+    if system.matrix is not A:  # a general A: its own operators act on the restricted f
+        system = build_system(A, system.beta)
     reports = verify_annihilation(system.operators, f)
     payload = {
         "series": repr(f),
@@ -135,8 +138,8 @@ def cmd_verify(args):
 
 
 def cmd_gevrey_index(args):
-    system, f = _series(args)
-    est = gevrey_index_estimate(f, args.var, args.min_terms, matrix=system.matrix)
+    A, _, f = _series(args)
+    est = gevrey_index_estimate(f, args.var, args.min_terms, matrix=A)
     _emit(args, est, f"estimate = {est['estimate']:.4f} +- {est['stderr']:.4f}")
 
 

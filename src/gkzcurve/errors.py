@@ -8,11 +8,3 @@ class InvalidInputError(ValueError):
 class ResourceLimitError(RuntimeError):
     """Raised when an enumeration would exceed a configured cap."""
 
-
-class InvariantViolationError(RuntimeError):
-    """Raised when an internal consistency check fails.
-
-    Seeing this exception means a bug, not a user error: it signals that a
-    quantity the theory guarantees (e.g. a nonzero denominator in a series
-    coefficient) failed to hold in a computation.
-    """

@@ -233,33 +233,26 @@ def _beta_in_semigroup(A: CurveMatrix, beta: Fraction) -> bool:
 def modified_exponent(system: HypergeometricSystem) -> Optional[tuple[int, ExponentVector]]:
     """(q, vtilde): the lattice translate of the polynomial exponent whose
     negative support is nonempty and *not* minimal.  None when beta is not
-    in the semigroup N A.  q is the index of the polynomial exponent.
+    in the semigroup N A.  q is the index of the polynomial exponent v^q.
 
-    plane (a b): the polynomial exponent is (m0, q), beta = q b + a m0;
-    with m' = ceil((m0+1)/b), vtilde = (m0 - b m', q + a m').
+    With (free, solved) the singular exponent axes of lift(A), vtilde steps
+    m = ceil((v_solved + 1) / a_free) times along a_solved e_free -
+    a_free e_solved, which makes coordinate ``solved`` equal to -1 or less:
 
-    smooth (1 a_2 .. a_n): q = beta mod a_{n-1} and
-    vtilde = (beta + a_{n-1}, 0, ..., 0, -1, 0).
-
-    general: computed on the homogenized matrix.
+    * plane (a b): v^q = (m0, q) and vtilde = (m0 - b m, q + a m);
+    * smooth (1 a_2 .. a_n): vtilde = (beta + a_{n-1}, 0, ..., 0, -1, 0),
+      and the same on the homogenized matrix for a general A.
     """
     A, beta = system.matrix, system.beta
     if not _beta_in_semigroup(A, beta):
         return None
     poly = _polynomial_exponent(A, beta)
-    q = poly.index
-    ent = _exponent_axes(A, "singular")[0]
-    if A.family == "plane":
-        a, b = ent
-        m0 = int(poly.v[0])
-        mprime = -((m0 + 1) // -b)  # ceil((m0+1)/b)
-        v = (Fraction(m0 - b * mprime), Fraction(q + a * mprime))
-        return q, ExponentVector(v, q)
-    n = len(ent)
-    v = [Fraction(0)] * n
-    v[0] = beta + ent[n - 2]
-    v[n - 2] = Fraction(-1)
-    return q, ExponentVector(tuple(v), q)
+    ent, free, solved = _exponent_axes(A, "singular")
+    m = -((int(poly.v[solved]) + 1) // -ent[free])  # ceil((v_solved + 1) / a_free)
+    v = list(poly.v)
+    v[free] += m * ent[solved]
+    v[solved] -= m * ent[free]
+    return poly.index, ExponentVector(tuple(v), poly.index)
 
 
 def modified_series(system: HypergeometricSystem,

@@ -71,36 +71,29 @@ def _diagonal_direction(A: CurveMatrix, var: int) -> tuple[int, ...]:
     """The primitive kernel direction whose multiples form the growth
     diagonal along x_var.
 
-    For two variables the kernel itself is one-dimensional.  Otherwise the
-    diagonal is supported on the last two coordinates: the primitive vector
-    (0, ..., 0, -a_n/g, a_{n-1}/g) with g = gcd leaves all other exponents
-    fixed, so its multiples stay inside every support set N_v.  The sign is
-    normalized so that the x_var-degree increases along the diagonal.
+    The diagonal is supported on the last two coordinates: the primitive
+    vector (0, ..., 0, -a_n/g, a_{n-1}/g) with g = gcd leaves all other
+    exponents fixed, so its multiples stay inside every support set N_v
+    (for two variables it spans the kernel).  The sign is normalized so
+    that the x_var-degree increases along the diagonal.
     """
     ent = A.entries
-    n = A.n
-    if n == 2:
-        z = (ent[1], -ent[0])
-    else:
-        g = math.gcd(ent[-2], ent[-1])
-        z = [0] * n
-        z[n - 2] = -(ent[-1] // g)
-        z[n - 1] = ent[-2] // g
-        z = tuple(z)
+    g = math.gcd(ent[-2], ent[-1])
+    z = (0,) * (A.n - 2) + (-(ent[-1] // g), ent[-2] // g)
     if z[var] == 0:
         raise InvalidInputError(f"no growth diagonal along variable {var}")
-    if z[var] < 0:
-        z = tuple(-x for x in z)
-    return tuple(z)
+    return z if z[var] > 0 else tuple(-x for x in z)
 
 
 def gevrey_index_estimate(f: TruncatedSeries, var: int, min_terms: int = 8,
                           matrix=None) -> dict:
     """Estimate the Gevrey index of f along x_var from coefficient growth.
 
-    Reads the coefficients c_m on the diagonal u = m z, m >= 0, where z is
-    the primitive kernel direction of :func:`_diagonal_direction` for
-    ``matrix`` (required unless f is exact), and fits
+    Reads the coefficients c_m on the diagonal u = u_0 + m z, m >= 0, where
+    z is the primitive kernel direction of :func:`_diagonal_direction` for
+    ``matrix`` (required unless f is exact) and u_0 is the kept offset of
+    least weighted norm, ties broken lexicographically (0 for a Gamma
+    series, where Gamma[v; 0] = 1, and 0 when f has no terms), and fits
 
         ln|c_m|  ~  alpha * d ln d  +  gamma * d  +  delta * ln d  +  mu,
         d = x_var-degree of the m-th diagonal term,
@@ -121,11 +114,14 @@ def gevrey_index_estimate(f: TruncatedSeries, var: int, min_terms: int = 8,
     if not isinstance(matrix, CurveMatrix):
         matrix = curve_matrix(matrix)
     z = _diagonal_direction(matrix, var)
+    w, zero = f.frontier.weight, (0,) * f.n
+    start = zero if zero in f.terms else min(
+        f.terms, key=lambda u: (sum(wi * abs(x) for wi, x in zip(w, u)), u), default=zero)
 
     points: list[tuple[float, float]] = []  # (degree, ln|c|)
     m = 0
     while True:
-        u = tuple(m * x for x in z)
+        u = tuple(s + m * x for s, x in zip(start, z))
         if not f.frontier.contains(u):
             break
         c = f.coefficient(u)
@@ -141,11 +137,12 @@ def gevrey_index_estimate(f: TruncatedSeries, var: int, min_terms: int = 8,
     points = points[burn:]
     d = [p[0] for p in points]
     alpha, stderr = _least_squares(d, [p[1] for p in points])
+    through = f"{start} + " if any(start) else ""
     return {
         "estimate": 1.0 + alpha,
         "stderr": stderr,
         "diagonal": (
-            f"offsets m*{z}, x_{var}-degrees {d[0]:g}..{d[-1]:g} "
+            f"offsets {through}m*{z}, x_{var}-degrees {d[0]:g}..{d[-1]:g} "
             f"({len(points)} points after burn-in)"
         ),
     }
@@ -154,43 +151,50 @@ def gevrey_index_estimate(f: TruncatedSeries, var: int, min_terms: int = 8,
 def _least_squares(d: list[float], y: list[float]) -> tuple[float, float]:
     """(alpha, stderr) of the fit y ~ alpha d ln d + gamma d + delta ln d + mu,
     solved exactly.  Scaled by one power of two, every float point is an
-    integer, so N, r and y.y are integer sums; the scale cancels from coef
-    and the stderr, which equal those of the solve over the rationals."""
+    integer, so the Gram matrix G of the columns (d ln d, d, ln d, 1, y) is
+    integer; the scale cancels from alpha and the stderr.  With N the normal
+    matrix (G without row and column y) and r the y column, Cramer's rule
+    gives alpha = det(N, column 0 -> r) / det N and (N^-1)_00 =
+    det N_00 / det N, and the residual sum of squares is det G / det N:
+    the same rationals as the solve over the rationals."""
     ln = [math.log(di) for di in d]
     ratios = [x.as_integer_ratio()
               for x in [di * li for di, li in zip(d, ln)] + d + ln + [1.0] * len(d) + y]
     e = max(den.bit_length() for _, den in ratios)
     ints = [num << (e - den.bit_length()) for num, den in ratios]
-    k = len(d)  # points; the columns are d ln d, d, ln d, 1
-    cols, yi = [ints[i * k:(i + 1) * k] for i in range(4)], ints[4 * k:]
-    N = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
-    r = [sum(a * b for a, b in zip(ci, yi)) for ci in cols]
-    inv = _inverse(N)
-    coef = [sum(a * b for a, b in zip(row, r)) for row in inv]
-    # at the least-squares solution the residual sum of squares is y.y - coef.r
-    rss = sum(a * a for a in yi) - sum(c * ri for c, ri in zip(coef, r))
-    return float(coef[0]), math.sqrt(float(rss / max(k - 4, 1) * inv[0][0]))
+    k = len(d)  # points
+    cols = [ints[i * k:(i + 1) * k] for i in range(5)]
+    G = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
+    N = [row[:4] for row in G[:4]]
+    det_n = _det(N)
+    if det_n == 0:
+        raise InvalidInputError(
+            "singular normal equations: too few distinct diagonal points to fit"
+        )
+    alpha = Fraction(_det([[G[i][4]] + N[i][1:] for i in range(4)]), det_n)
+    inv00 = Fraction(_det([row[1:] for row in N[1:]]), det_n)
+    rss = Fraction(_det(G), det_n)
+    return float(alpha), math.sqrt(float(rss / max(k - 4, 1) * inv00))
 
 
-def _inverse(m: list[list[int]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination."""
+def _det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination, in which every division is exact."""
+    m = [list(row) for row in m]
     n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
-            raise InvalidInputError(
-                "singular normal equations: too few distinct diagonal points to fit"
-            )
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------

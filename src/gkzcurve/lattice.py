@@ -11,11 +11,12 @@ need two pieces of integer data from it:
   every series in the package, and the finite sets indexing polynomial
   solutions, Delta_j and the Ext^1 generator.
 
-Supported matrix families:
+Every matrix has at least two positive, strictly increasing entries of
+gcd 1.  Its family tag follows from the entries:
 
-* ``plane``        A = (a b), 0 < a < b, gcd = 1            (two variables)
-* ``smooth``       A = (1 a_2 ... a_n), strictly increasing (n >= 3)
-* ``general``      A = (a_1 ... a_n), 1 < a_1 < ... < a_n, gcd = 1
+* ``plane``        A = (a b)                 (two variables)
+* ``smooth``       A = (1 a_2 ... a_n)       (n >= 3)
+* ``general``      A = (a_1 ... a_n), a_1 > 1, n >= 3
 * ``homogenized``  A' = (1 a_1 ... a_n) produced from a general matrix
 """
 
@@ -76,11 +77,13 @@ class CurveMatrix:
         return "(" + " ".join(str(a) for a in self.entries) + ")"
 
 
-def curve_matrix(entries: Sequence[int], family: str | None = None) -> CurveMatrix:
-    """Build a CurveMatrix, inferring and validating the family.
+def curve_matrix(entries: Sequence[int]) -> CurveMatrix:
+    """Build a CurveMatrix from at least two positive, strictly increasing
+    integers of gcd 1.
 
-    Classification when ``family`` is omitted: n = 2 -> plane;
-    n >= 3 with first entry 1 -> smooth; otherwise general.
+    The family follows from the entries: plane if n = 2, smooth if the first
+    entry is 1, general otherwise.  A homogenized matrix comes only from
+    :func:`homogenize_matrix`.
     """
     try:
         ent = tuple(int(a) for a in entries)
@@ -90,40 +93,11 @@ def curve_matrix(entries: Sequence[int], family: str | None = None) -> CurveMatr
         raise InvalidInputError("need at least two columns")
     if any(a <= 0 for a in ent):
         raise InvalidInputError("matrix entries must be positive")
-
-    if family is None:
-        if len(ent) == 2:
-            family = "plane"
-        elif ent[0] == 1:
-            family = "smooth"
-        else:
-            family = "general"
-
-    if family == "plane":
-        if len(ent) != 2:
-            raise InvalidInputError("plane family needs exactly two columns")
-        a, b = ent
-        if not a < b:
-            raise InvalidInputError("plane family needs a < b")
-        if math.gcd(a, b) != 1:
-            raise InvalidInputError("plane family needs gcd(a, b) = 1")
-    elif family in ("smooth", "homogenized"):
-        if len(ent) < 3:
-            raise InvalidInputError(f"{family} family needs at least three columns")
-        if ent[0] != 1:
-            raise InvalidInputError(f"{family} family needs first entry 1")
-        if any(x >= y for x, y in zip(ent, ent[1:])):
-            raise InvalidInputError("entries must be strictly increasing")
-    elif family == "general":
-        if ent[0] <= 1:
-            raise InvalidInputError("general family needs all entries > 1")
-        if any(x >= y for x, y in zip(ent, ent[1:])):
-            raise InvalidInputError("entries must be strictly increasing")
-        if math.gcd(*ent) != 1:
-            raise InvalidInputError("general family needs gcd = 1")
-    else:
-        raise InvalidInputError(f"unknown family {family!r}")
-    return CurveMatrix(ent, family)
+    if any(x >= y for x, y in zip(ent, ent[1:])):
+        raise InvalidInputError("entries must be strictly increasing")
+    if math.gcd(*ent) != 1:
+        raise InvalidInputError("entries must have gcd 1")
+    return CurveMatrix(ent, "plane" if len(ent) == 2 else "smooth" if ent[0] == 1 else "general")
 
 
 def homogenize_matrix(A: CurveMatrix) -> CurveMatrix:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InvalidInputError
 
@@ -58,33 +58,6 @@ def falling_product(p: int, q: int, k: int) -> int:
     """p (p - q) ... (p - (k-1) q) = q^k (p/q)_k for q >= 1, k >= 0: the
     integer primitive of every falling factorial and Gamma coefficient."""
     return math.prod(range(p, p - k * q, -q))
-
-
-def falling_factorial_1d(z, k: int) -> Fraction:
-    """z (z-1) ... (z-k+1) for an integer k >= 0 (k = 0 gives 1)."""
-    return falling_factorial((z,), (k,))
-
-
-def falling_factorial(z: Sequence, alpha: Sequence[int]) -> Fraction:
-    """Coordinatewise falling factorial (z)_alpha, multiplied out.
-
-    ``alpha`` must consist of nonnegative integers; coordinates with
-    alpha_i = 0 are skipped; one Fraction is built at the end.  Examples:
-
-        falling_factorial((Fraction(1,2), 0), (3, 0))  ->  3/8
-        falling_factorial((2, 3), (0, 2))              ->  6
-    """
-    if len(z) != len(alpha):
-        raise InvalidInputError("z and alpha must have equal length")
-    num = den = 1
-    for zi, k in zip(z, alpha):
-        if k < 0:
-            raise InvalidInputError("falling factorial needs a nonnegative step count")
-        if k:
-            zi = as_rational(zi)
-            num *= falling_product(zi.numerator, zi.denominator, k)
-            den *= zi.denominator**k
-    return Fraction(num, den)
 
 
 def log_abs(x: Fraction) -> float:

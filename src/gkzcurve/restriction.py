@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidInputError, InvariantViolationError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError
 from .gamma import gamma_coefficient
 from .lattice import (
     CurveMatrix,
@@ -36,7 +36,7 @@ from .lattice import (
     minimal_delta,
     term_cap,
 )
-from .rationals import as_rational, falling_factorial_1d, format_rational
+from .rationals import as_rational, falling_product, format_rational
 from .series import TruncatedSeries, TruncationFrontier
 from .system import HypergeometricSystem, build_system
 
@@ -235,14 +235,11 @@ def ext1_recurrence_solve(A, epsilon, beta, f_coeffs, h_init=None,
         h[(k, 0)] = init.get(k, Fraction(0))
         lead = Fraction(beta - b * k, a)
         for m in range(num_terms):
-            num = (
-                falling_factorial_1d(lead - b * m, b) * h[(k, m)]
-                - f.get((k, m), Fraction(0))
-            )
-            den = falling_factorial_1d(k + a * (m + 1), a)
-            if den == 0:
-                raise InvariantViolationError("vanishing factorial denominator")
-            h[(k, m + 1)] = num / den
+            z = lead - b * m
+            fall = Fraction(falling_product(z.numerator, z.denominator, b), z.denominator**b)
+            # the denominator multiplies a consecutive integers, each at least 1
+            den = falling_product(k + a * (m + 1), 1, a)
+            h[(k, m + 1)] = (fall * h[(k, m)] - f.get((k, m), Fraction(0))) / den
     return h
 
 

@@ -5,15 +5,14 @@ For a row matrix A and a rational parameter beta, the system consists of
 * toric binomials  box_u = d^{u_+} - d^{u_-}  for u in ker A, and
 * the Euler operator  E = sum_j a_j x_j d_j - beta.
 
-Every binomial generator is box_u for a kernel vector u; each supported
-family gets the vectors of its customary generating set:
+Every binomial generator is box_u for a kernel vector u:
 
-* plane (a b):            u = (b, -a),  i.e. d_1^b - d_2^a
-* smooth (1 a_2 .. a_n):  u = a_i e_1 - e_i  for i = 2..n
-* homogenized (1 a_1 .. a_n):
-      u = a_i e_0 - e_i  for every i, plus the contiguity binomials
-      Q_i = d_0 d_i^{delta_i} - d^{rho_i}  from minimal_delta
-* general:                all box_u with small support degree
+* every non-general matrix (a_0 a_1 .. a_{n-1}):
+      u_i = a_i e_0 - a_0 e_i  for i = 1..n-1, which is (b, -a) for a plane
+      matrix (a b) and a_i e_0 - e_i for a smooth or homogenized one;
+* homogenized, in addition: the contiguity binomials
+      Q_i = d_0 d_i^{delta_i} - d^{rho_i}  from minimal_delta;
+* general: every box_u of support degree at most twice the largest entry.
 """
 
 from __future__ import annotations
@@ -47,27 +46,18 @@ class HypergeometricSystem:
 
 
 def _general_kernel(A: CurveMatrix) -> list[tuple[int, ...]]:
-    """Kernel vectors u with max(|u_+|, |u_-|) <= 2 max(A).
+    """Kernel vectors u > 0 (lexicographically) with max(|u_+|, |u_-|) <=
+    2 max(A), in descending order.
 
     One representative per {u, -u} pair (the two binomials differ by sign).
     """
     degree_bound = 2 * max(A.entries)
     frontier = TruncationFrontier.uniform(A.n, 2 * degree_bound)
-    seen = set()
-    kernel = []
-    for u in _lattice.enumerate_offsets(A, frontier):
-        if all(x == 0 for x in u):
-            continue
-        plus = sum(x for x in u if x > 0)
-        minus = -sum(x for x in u if x < 0)
-        if max(plus, minus) > degree_bound:
-            continue
-        key = max(u, tuple(-x for x in u))
-        if key in seen:
-            continue
-        seen.add(key)
-        kernel.append(key)
-    return kernel
+    zero = (0,) * A.n
+    return sorted((u for u in _lattice.enumerate_offsets(A, frontier)
+                   if u > zero and max(sum(x for x in u if x > 0),
+                                       -sum(x for x in u if x < 0)) <= degree_bound),
+                  reverse=True)
 
 
 def build_system(A, beta) -> HypergeometricSystem:
@@ -82,14 +72,10 @@ def build_system(A, beta) -> HypergeometricSystem:
     beta = as_rational(beta)
     ent = A.entries
     n = A.n
-    if A.family == "plane":
-        a, b = ent
-        toric = [(b, -a)]
-    elif A.family == "general":
+    if A.family == "general":
         toric = _general_kernel(A)
     else:
-        # smooth or homogenized: ent[0] = 1, so a_i e_0 - e_i lies in ker A
-        toric = [tuple(ent[i] * (j == 0) - (j == i) for j in range(n))
+        toric = [tuple(ent[i] * (j == 0) - ent[0] * (j == i) for j in range(n))
                  for i in range(1, n)]
     contiguity = []
     if A.family == "homogenized":

@@ -22,6 +22,7 @@ from gkzcurve import (
     restrict_series_x0,
     singular_exponents,
 )
+from gkzcurve import system as system_module
 from gkzcurve.cli import main
 from gkzcurve.rationals import format_rational
 
@@ -161,6 +162,32 @@ def test_general_matrix_gevrey_index_and_modified(capsys):
     # the modified series of a general matrix lives upstairs: still refused
     code, out, err = run(capsys, "series", "-A", "3,4,5", "-b", "3", "--point", "modified")
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("index", ["1", "2", "3"])
+def test_general_matrix_gevrey_index_at_every_exponent_index(capsys, index):
+    # the restricted offsets of index k lie on A.u = k, off the diagonal
+    # through 0: the fit walks the one through the least kept offset
+    data = run_json(capsys, "gevrey-index", "-A", "3,4,5", "-b", "1/2", "--point", "singular",
+                    "--index", index, "--bound", "90", "--var", "2")
+    assert abs(data["estimate"] - 1.25) < 0.10  # a_n / a_{n-1} = 5/4
+
+
+def test_series_and_gevrey_index_build_only_the_lifted_system(capsys, monkeypatch):
+    def refuse(A):
+        raise AssertionError(f"the system of {A} was built")
+
+    monkeypatch.setattr(system_module, "_general_kernel", refuse)
+    for point, index in (("singular", "0"), ("generic", "3")):
+        code, out, err = run(capsys, "series", "-A", "4,5,6,7", "-b", "1/2", "--point", point,
+                             "--index", index, "--bound", "10")
+        assert code == 0 and out and err == "", (point, err)
+    # the ball of the lift has too few diagonal points to fit: refused after the series
+    code, _, err = run(capsys, "gevrey-index", "-A", "4,5,6,7", "-b", "1/2", "--bound", "30",
+                       "--var", "3")
+    assert code == 2 and "diagonal terms available" in err
+    with pytest.raises(AssertionError, match="was built"):
+        run(capsys, "verify", "-A", "4,5,6,7", "-b", "1/2", "--bound", "10")
 
 
 @pytest.mark.parametrize("matrix", [(3, 4, 5), (4, 5, 6, 7)], ids=str)

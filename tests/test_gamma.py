@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -7,6 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from gkzcurve.errors import InvalidInputError
 from gkzcurve.gamma import (
+    _beta_in_semigroup,
+    _exponent_axes,
+    _polynomial_exponent,
+    ExponentVector,
     gamma_coefficient,
     gamma_series,
     generic_exponents,
@@ -203,6 +208,52 @@ def test_modified_exponent_smooth():
         assert got == modified_exponent(build_system((1, 3, 4, 5), beta)), beta
         assert got is not None
     assert modified_exponent(build_system((3, 4, 5), 2)) is None
+
+
+def modified_exponent_by_family(system):
+    """The plane and smooth formulas that the one translate of
+    modified_exponent replaced (test oracle)."""
+    A, beta = system.matrix, system.beta
+    if not _beta_in_semigroup(A, beta):
+        return None
+    poly = _polynomial_exponent(A, beta)
+    q = poly.index
+    ent = _exponent_axes(A, "singular")[0]
+    if A.family == "plane":
+        a, b = ent
+        m0 = int(poly.v[0])
+        mprime = -((m0 + 1) // -b)  # ceil((m0+1)/b)
+        return q, ExponentVector((F(m0 - b * mprime), F(q + a * mprime)), q)
+    n = len(ent)
+    v = [F(0)] * n
+    v[0] = beta + ent[n - 2]
+    v[n - 2] = F(-1)
+    return q, ExponentVector(tuple(v), q)
+
+
+MODIFIED_GRID = (
+    [(a, b) for b in range(2, 13) for a in range(1, b) if math.gcd(a, b) == 1]
+    + [(1, 2, 3), (1, 2, 5), (1, 3, 7), (1, 5, 6), (1, 2, 3, 5), (1, 3, 4, 5),
+       (1, 3, 4, 7), (1, 4, 5, 6, 7)]
+    + [(3, 4, 5), (3, 5, 7), (5, 6, 7), (2, 5, 7), (4, 5, 7), (3, 4, 7), (2, 3, 7),
+       (4, 6, 9), (4, 5, 6, 7)]
+)
+
+
+def test_one_translate_matches_the_family_formulas():
+    matrices = [curve_matrix(e) for e in MODIFIED_GRID]
+    matrices += [homogenize_matrix(A) for A in matrices if A.family == "general"]
+    answered = 0
+    for A in matrices:
+        built = build_system(A, 0)
+        for beta in [F(b) for b in range(-2, 40)] + [F(1, 2)]:
+            system = dataclasses.replace(built, beta=beta)  # both read only A and beta
+            got = modified_exponent(system)
+            assert got == modified_exponent_by_family(system), (A, beta)
+            if got is not None:
+                answered += 1
+                assert all(isinstance(x, F) for x in got[1].v)
+    assert answered > 1000
 
 
 def test_modified_series_not_minimal_but_euler_killed():

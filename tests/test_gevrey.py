@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from gkzcurve.errors import InvalidInputError
 from gkzcurve.gamma import gamma_series, singular_exponents
 from gkzcurve.gevrey import (
+    _det,
     _diagonal_direction,
-    _inverse,
     _least_squares,
     dimension_table,
     gevrey_index_estimate,
@@ -56,6 +57,25 @@ def test_gevrey_estimate_pinned_to_recorded_values():
     assert est["stderr"] == pytest.approx(2.373633242990137e-05, rel=1e-9)
 
 
+def inverse_fraction(m):
+    """Exact inverse by Gauss-Jordan elimination over Fraction (test oracle)."""
+    n = len(m)
+    aug = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col]), None)
+        if piv is None:
+            raise InvalidInputError("singular normal equations")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        aug[col] = [x / p for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
 def least_squares_fraction(d, y):
     """The fit of _least_squares with every float point turned into a
     Fraction and summed over the rationals (test oracle)."""
@@ -65,7 +85,7 @@ def least_squares_fraction(d, y):
     yf = [F(v) for v in y]
     N = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
     r = [sum(a * b for a, b in zip(ci, yf)) for ci in cols]
-    inv = _inverse(N)
+    inv = inverse_fraction(N)
     coef = [sum(a * b for a, b in zip(row, r)) for row in inv]
     rss = sum(v * v for v in yf) - sum(c * ri for c, ri in zip(coef, r))
     dof = max(len(d) - len(cols), 1)
@@ -105,6 +125,62 @@ def test_integer_fit_matches_fraction_solve_on_random_points(degrees, data):
     d = sorted(k / 2 for k in degrees)
     y = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(d), max_size=len(d)))
     assert _least_squares(d, y) == least_squares_fraction(d, y)
+
+
+def det_leibniz(m):
+    """Determinant as the signed sum over permutations (test oracle)."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+ENTRY = st.integers(-3, 3) | st.integers(-2**100, 2**100)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_bareiss_det_matches_leibniz(m):
+    assert _det(m) == det_leibniz(m)
+
+
+def diagonal_direction_by_family(A, var):
+    """The two-branch growth diagonal that the one formula of
+    _diagonal_direction replaced (test oracle)."""
+    ent, n = A.entries, A.n
+    if n == 2:
+        z = (ent[1], -ent[0])
+    else:
+        g = math.gcd(ent[-2], ent[-1])
+        z = [0] * n
+        z[n - 2] = -(ent[-1] // g)
+        z[n - 1] = ent[-2] // g
+        z = tuple(z)
+    if z[var] == 0:
+        return None
+    if z[var] < 0:
+        z = tuple(-x for x in z)
+    return tuple(z)
+
+
+def test_one_diagonal_formula_matches_two_branches():
+    entries = [(a, b) for b in range(2, 13) for a in range(1, b) if math.gcd(a, b) == 1]
+    entries += [(1, 2, 3), (1, 2, 5), (1, 3, 7), (1, 5, 6), (1, 2, 3, 5), (1, 3, 4, 5),
+                (1, 3, 4, 7), (1, 4, 5, 6, 7), (3, 4, 5), (3, 5, 7), (5, 6, 7), (2, 5, 7),
+                (4, 5, 7), (3, 4, 7), (2, 3, 7), (4, 6, 9), (4, 5, 6, 7), (1, 6, 9)]
+    matrices = [curve_matrix(e) for e in entries]
+    matrices += [homogenize_matrix(A) for A in matrices if A.family == "general"]
+    for A in matrices:
+        for var in range(A.n):
+            want = diagonal_direction_by_family(A, var)
+            if want is None:
+                with pytest.raises(InvalidInputError, match="no growth diagonal"):
+                    _diagonal_direction(A, var)
+            else:
+                assert _diagonal_direction(A, var) == want, (A, var)
 
 
 def test_gevrey_estimate_smooth_needs_matrix():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gkzcurve.errors import InvalidInputError, ResourceLimitError
 from gkzcurve.lattice import (
+    CurveMatrix,
     _ball_count,
     _lattice_points,
     curve_matrix,
@@ -37,6 +38,64 @@ def test_family_inference():
 def test_invalid_matrices_rejected(entries):
     with pytest.raises(InvalidInputError):
         curve_matrix(entries)
+
+
+def test_invalid_matrix_messages():
+    with pytest.raises(InvalidInputError, match="entries must be strictly increasing"):
+        curve_matrix((3, 2))
+    for entries in ((2, 4), (2, 4, 6)):
+        with pytest.raises(InvalidInputError, match="entries must have gcd 1"):
+            curve_matrix(entries)
+
+
+def curve_matrix_by_family(entries):
+    """The family-by-family validation that the one rule of curve_matrix
+    replaced, with the family inferred (test oracle)."""
+    ent = tuple(int(a) for a in entries)
+    if len(ent) < 2:
+        raise InvalidInputError("need at least two columns")
+    if any(a <= 0 for a in ent):
+        raise InvalidInputError("matrix entries must be positive")
+    if len(ent) == 2:
+        family = "plane"
+    elif ent[0] == 1:
+        family = "smooth"
+    else:
+        family = "general"
+    if family == "plane":
+        a, b = ent
+        if not a < b:
+            raise InvalidInputError("plane family needs a < b")
+        if math.gcd(a, b) != 1:
+            raise InvalidInputError("plane family needs gcd(a, b) = 1")
+    elif family == "smooth":
+        if any(x >= y for x, y in zip(ent, ent[1:])):
+            raise InvalidInputError("entries must be strictly increasing")
+    else:
+        if ent[0] <= 1:
+            raise InvalidInputError("general family needs all entries > 1")
+        if any(x >= y for x, y in zip(ent, ent[1:])):
+            raise InvalidInputError("entries must be strictly increasing")
+        if math.gcd(*ent) != 1:
+            raise InvalidInputError("general family needs gcd = 1")
+    return CurveMatrix(ent, family)
+
+
+def test_one_validation_rule_accepts_what_the_family_rules_accepted():
+    def build(f, entries):
+        try:
+            return f(entries)
+        except InvalidInputError:
+            return None
+
+    count = 0
+    for n in range(1, 5):
+        for entries in itertools.product(range(-1, 9), repeat=n):
+            got = build(curve_matrix, entries)
+            assert got == build(curve_matrix_by_family, entries), entries
+            assert got is None or got.family == curve_matrix_by_family(entries).family
+            count += 1
+    assert count == 11110
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +368,7 @@ def delta_j_simplex(Aprime, j, degree_bound):
 
 @pytest.mark.parametrize("entries", [(2, 3), (3, 4, 5), (2, 5, 7), (4, 5, 6, 7), (3, 5, 7)])
 def test_delta_j_set_matches_simplex_oracle(entries):
-    Ah = homogenize_matrix(curve_matrix(entries, family="general"))
+    Ah = homogenize_matrix(CurveMatrix(entries, "general"))
     for j in range(entries[-2]):
         for degree_bound in (0, 1, 5, 11):
             assert delta_j_set(Ah, j, degree_bound) == delta_j_simplex(Ah, j, degree_bound)

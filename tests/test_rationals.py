@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 
 from gkzcurve.errors import InvalidInputError
 from gkzcurve.rationals import (
-    falling_factorial,
-    falling_factorial_1d,
     falling_product,
     format_rational,
     log_abs,
@@ -19,59 +17,33 @@ rationals = st.fractions(
 )
 
 
-def test_falling_factorial_examples():
-    # (1/2)(−1/2)(−3/2) = 3/8
-    assert falling_factorial((F(1, 2), F(0)), (3, 0)) == F(3, 8)
-    # coordinate 2 of (·, 2) with step 2: 2*1
-    assert falling_factorial((F(5), F(2)), (0, 2)) == 2
-    assert falling_factorial((F(7), F(-3)), (0, 0)) == 1  # empty product
+def test_falling_product_examples():
+    # 2^3 (1/2)_3 = 1 * (-1) * (-3) = 3, as (1/2)(-1/2)(-3/2) = 3/8
+    assert falling_product(1, 2, 3) == 3
+    assert falling_product(2, 1, 2) == 2
+    assert falling_product(-3, 1, 0) == 1  # empty product
 
 
-def test_falling_factorial_integer_is_factorial_ratio():
+def test_falling_product_integer_is_factorial_ratio():
     for z in range(0, 12):
         for k in range(0, z + 1):
-            assert falling_factorial_1d(z, k) == F(
-                math.factorial(z), math.factorial(z - k)
-            )
-
-
-def test_falling_factorial_rejects_negative_steps():
-    with pytest.raises(InvalidInputError):
-        falling_factorial_1d(F(1, 2), -1)
+            assert falling_product(z, 1, k) == math.factorial(z) // math.factorial(z - k)
 
 
 @given(rationals, st.integers(min_value=0, max_value=25))
-def test_falling_factorial_shift_rule(z, k):
-    # (z)_{k+1} = (z)_k * (z - k)
-    assert falling_factorial_1d(z, k + 1) == falling_factorial_1d(z, k) * (z - k)
+def test_falling_product_shift_rule(z, k):
+    # (p)_{k+1} = (p)_k * (p - k q) in steps of q
+    p, q = z.numerator, z.denominator
+    assert falling_product(p, q, k + 1) == falling_product(p, q, k) * (p - k * q)
 
 
 @given(rationals, st.integers(min_value=0, max_value=25))
-def test_falling_factorial_matches_fraction_loop(z, k):
+def test_falling_product_matches_fraction_loop(z, k):
     # the loop over z - j, one Fraction factor at a time (test oracle)
     oracle = F(1)
     for j in range(k):
         oracle *= z - j
-    assert falling_factorial_1d(z, k) == oracle
     assert falling_product(z.numerator, z.denominator, k) == oracle * z.denominator**k
-
-
-@given(
-    st.lists(rationals, min_size=1, max_size=4),
-    st.data(),
-)
-def test_falling_factorial_splits_over_coordinates(zs, data):
-    alphas = data.draw(
-        st.lists(
-            st.integers(min_value=0, max_value=8),
-            min_size=len(zs),
-            max_size=len(zs),
-        )
-    )
-    prod = F(1)
-    for z, a in zip(zs, alphas):
-        prod *= falling_factorial_1d(z, a)
-    assert falling_factorial(tuple(zs), tuple(alphas)) == prod
 
 
 def test_rational_round_trip():

@@ -1,10 +1,18 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from gkzcurve.lattice import curve_matrix, homogenize_matrix, minimal_delta
-from gkzcurve.series import WeylOperator
-from gkzcurve.system import build_system
+from gkzcurve.series import TruncationFrontier, WeylOperator
+from gkzcurve.system import _general_kernel, build_system
+from gkzcurve import lattice
+
+PLANE = [(a, b) for b in range(2, 13) for a in range(1, b) if math.gcd(a, b) == 1]
+SMOOTH = [(1, 2, 3), (1, 2, 5), (1, 3, 7), (1, 5, 6), (1, 2, 3, 5), (1, 3, 4, 5),
+          (1, 3, 4, 7), (1, 4, 5, 6, 7)]
+GENERAL = [(3, 4, 5), (3, 5, 7), (5, 6, 7), (2, 5, 7), (4, 5, 7), (3, 4, 7), (2, 3, 7),
+           (4, 6, 9), (4, 5, 6, 7)]
 
 
 def test_plane_system_shape():
@@ -72,3 +80,54 @@ def test_general_system_binomials_lie_in_kernel():
         u = tuple(a - b for a, b in zip(q1, q2))
         assert A.dot(u) == 0
         assert max(sum(q1), sum(q2)) <= 2 * max(A.entries)
+
+
+def toric_by_family(A):
+    """The per-family kernel vectors that the one rule u_i = a_i e_0 - a_0 e_i
+    replaced: (b, -a) for a plane matrix, a_i e_0 - e_i otherwise (test oracle)."""
+    ent, n = A.entries, A.n
+    if A.family == "plane":
+        a, b = ent
+        return [(b, -a)]
+    return [tuple(ent[i] * (j == 0) - (j == i) for j in range(n)) for i in range(1, n)]
+
+
+def test_one_toric_rule_matches_the_family_vectors():
+    matrices = [curve_matrix(e) for e in PLANE + SMOOTH]
+    matrices += [homogenize_matrix(curve_matrix(e)) for e in GENERAL]
+    cases = 0
+    for A in matrices:
+        for beta in (0, F(1, 2), 3):
+            system = build_system(A, beta)
+            assert system.toric == tuple(WeylOperator.from_lattice(u)
+                                         for u in toric_by_family(A)), (A, beta)
+            cases += 1
+    assert cases == 3 * (len(PLANE) + len(SMOOTH) + len(GENERAL))
+
+
+def general_kernel_loop(A):
+    """The first-met representative loop that the sorted filter of
+    _general_kernel replaced (test oracle)."""
+    degree_bound = 2 * max(A.entries)
+    frontier = TruncationFrontier.uniform(A.n, 2 * degree_bound)
+    seen = set()
+    kernel = []
+    for u in lattice.enumerate_offsets(A, frontier):
+        if all(x == 0 for x in u):
+            continue
+        plus = sum(x for x in u if x > 0)
+        minus = -sum(x for x in u if x < 0)
+        if max(plus, minus) > degree_bound:
+            continue
+        key = max(u, tuple(-x for x in u))
+        if key in seen:
+            continue
+        seen.add(key)
+        kernel.append(key)
+    return kernel
+
+
+@pytest.mark.parametrize("entries", GENERAL, ids=str)
+def test_general_kernel_matches_first_met_loop(entries):
+    A = curve_matrix(entries)
+    assert _general_kernel(A) == general_kernel_loop(A)
