@@ -29,16 +29,16 @@ def main():
         print("  ", op)
 
     print("\nexponents at the singular point (x_2 = 0):")
-    for e in singular_exponents(system):
-        print(f"  v^{e.index} = {tuple(str(x) for x in e.v)}")
+    for k, v in enumerate(singular_exponents(system)):
+        print(f"  v^{k} = {tuple(str(x) for x in v)}")
     print("exponents at a generic point:")
-    for e in generic_exponents(system):
-        print(f"  v^{e.index} = {tuple(str(x) for x in e.v)}")
+    for k, v in enumerate(generic_exponents(system)):
+        print(f"  v^{k} = {tuple(str(x) for x in v)}")
 
     fr = TruncationFrontier.uniform(2, 30)
     v = singular_exponents(system)[1]
     f = gamma_series(v, system, fr)
-    print(f"\nphi_v for v = {tuple(str(x) for x in v.v)}, {len(f.terms)} terms:")
+    print(f"\nphi_v for v = {tuple(str(x) for x in v)}, {len(f.terms)} terms:")
     for u, c in f.sorted_terms()[:6]:
         print(f"  offset {u}: {c}")
     ok = all(r.annihilated for r in verify_annihilation(system.operators, f))

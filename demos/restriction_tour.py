@@ -45,7 +45,7 @@ def main():
         g = restrict_series_x0(f)
         up = all(r.annihilated for r in verify_annihilation(hom.system.operators, f))
         down = all(r.annihilated for r in verify_annihilation(general.operators, g))
-        print(f"  v = {tuple(str(x) for x in v.v)}: "
+        print(f"  v = {tuple(str(x) for x in v)}: "
               f"annihilated upstairs = {up}, after restriction = {down}")
 
     # 2. restriction decomposes into plane systems

@@ -31,14 +31,14 @@ def main():
     print(f"{len(sing)} singular exponents, {len(gen)} generic exponents")
 
     fr = TruncationFrontier.uniform(3, 40)
-    for e in sing:
-        f = gamma_series(e.v, system, fr)
+    for k, v in enumerate(sing):
+        f = gamma_series(v, system, fr)
         ok = all(r.annihilated for r in verify_annihilation(system.operators, f))
-        print(f"  v^{e.index} = {tuple(str(x) for x in e.v)}: "
+        print(f"  v^{k} = {tuple(str(x) for x in v)}: "
               f"{len(f.terms)} terms, annihilated = {ok}")
 
     fr = TruncationFrontier.uniform(3, 220)
-    f = gamma_series(sing[0].v, system, fr)
+    f = gamma_series(sing[0], system, fr)
     est = gevrey_index_estimate(f, 2, matrix=system.matrix)
     print(f"\nGevrey index along x_3: {est['estimate']:.4f} (expected 5/2)")
 

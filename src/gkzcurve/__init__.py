@@ -9,7 +9,6 @@ frontier-truncated exact series.
 
 from .errors import InvalidInputError, ResourceLimitError
 from .gamma import (
-    ExponentVector,
     gamma_coefficient,
     gamma_series,
     generic_exponents,
@@ -32,7 +31,6 @@ from .gevrey import (
 )
 from .lattice import (
     CurveMatrix,
-    SemigroupCertificate,
     curve_matrix,
     delta_j_set,
     enumerate_offsets,

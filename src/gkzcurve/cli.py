@@ -59,12 +59,11 @@ _EXPONENTS = {"singular": singular_exponents, "generic": generic_exponents}
 
 
 def _exponent_payload(system, which: str):
-    lifted = lift(system.matrix)[0]
     out = []
-    for v in _EXPONENTS[which](system):
-        res = has_minimal_nsupp(v, lifted)
+    for k, v in enumerate(_EXPONENTS[which](system)):
+        res = has_minimal_nsupp(v, system.matrix)
         out.append({
-            "index": v.index,
+            "index": k,
             "vector": [format_rational(x) for x in v],
             "minimal_negative_support": bool(res),
             "exact_check": res.exact,
@@ -73,9 +72,10 @@ def _exponent_payload(system, which: str):
 
 
 def cmd_exponents(args):
-    system = build_system(_matrix(args.matrix), parse_rational(args.beta))
+    A = _matrix(args.matrix)
+    system = build_system(lift(A)[0], parse_rational(args.beta))
     payload = {
-        "matrix": list(system.matrix.entries),
+        "matrix": list(A.entries),
         "beta": args.beta,
         "singular": _exponent_payload(system, "singular"),
         "generic": _exponent_payload(system, "generic"),
@@ -89,14 +89,17 @@ def cmd_exponents(args):
 
 
 def _series(args):
-    """(A, system, f): the user's matrix, the one system built here, and the
-    series that ``--point`` and ``--index`` ask for, expanded on the system of
-    lift(A) and brought down to A; a modified series lives on A's own system."""
+    """(A, system, f): the user's matrix, the system of lift(A), and the
+    series that ``--point`` and ``--index`` ask for, expanded on that system
+    and brought down to A.  A modified series needs A to be its own lift."""
     A, beta = _matrix(args.matrix), parse_rational(args.beta)
     if args.bound < 0:
         raise InvalidInputError("--bound must be nonnegative")
     lifted, down = lift(A)
-    system = build_system(A if args.point == "modified" else lifted, beta)
+    if args.point == "modified" and lifted is not A:
+        raise InvalidInputError(
+            "modified series of a general matrix lives on the homogenized system")
+    system = build_system(lifted, beta)
     frontier = TruncationFrontier.uniform(system.n, args.bound)
     if args.point == "modified":
         return A, system, modified_series(system, frontier)
@@ -300,6 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # exact answers pass the 4,300-digit default
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -50,30 +50,10 @@ from .series import TruncatedSeries, TruncationFrontier
 from .system import HypergeometricSystem
 
 
-@dataclass(frozen=True)
-class ExponentVector:
-    """A rational vector v with A.v = beta, tagged by its index."""
-
-    v: tuple[Fraction, ...]
-    index: Optional[int] = None
-
-    def __iter__(self):
-        return iter(self.v)
-
-    def __len__(self):
-        return len(self.v)
-
-
-def _vec(v) -> tuple[Fraction, ...]:
-    if isinstance(v, ExponentVector):
-        return v.v
-    return as_rational_vector(v)
-
-
 def nsupp(v) -> frozenset[int]:
     """Indices (0-based) where v is a negative integer."""
     return frozenset(
-        i for i, x in enumerate(_vec(v))
+        i for i, x in enumerate(as_rational_vector(v))
         if x.denominator == 1 and x < 0
     )
 
@@ -98,9 +78,8 @@ def has_minimal_nsupp(v, A) -> MinimalSupportResult:
     smaller support is a point w of N^n with A.w = A.v: v is not minimal
     exactly when beta = A.v lies in the semigroup N A.
     """
-    if not isinstance(A, CurveMatrix):
-        A = curve_matrix(A)
-    v = _vec(v)
+    A = curve_matrix(A)
+    v = as_rational_vector(v)
     if len(v) != A.n:
         raise InvalidInputError("exponent dimension mismatch")
     supp = nsupp(v)
@@ -125,7 +104,7 @@ def _gamma_ratio(p: Sequence[int], q: Sequence[int], u: Sequence[int]) -> Fracti
 
 def gamma_coefficient(v, u) -> Fraction:
     """Gamma[v; u] = (v)_{u_-} / (v + u)_{u_+}, zero off the support set N_v."""
-    v = _vec(v)
+    v = as_rational_vector(v)
     u = tuple(int(x) for x in u)
     if len(u) != len(v):
         raise InvalidInputError("offset dimension mismatch")
@@ -143,7 +122,7 @@ def gamma_series(v, system: HypergeometricSystem,
     N_v is the box u_i >= -v_i for integer v_i >= 0, u_i <= -v_i - 1 for
     integer v_i < 0, which the enumerator walks; no coefficient there is 0.
     """
-    v = _vec(v)
+    v = as_rational_vector(v)
     A = system.matrix
     if len(v) != A.n:
         raise InvalidInputError("exponent dimension mismatch")
@@ -176,16 +155,17 @@ def _exponent_axes(A: CurveMatrix, which: str) -> tuple[tuple[int, ...], int, in
 
 
 def _exponent(ent: tuple[int, ...], free: int, solved: int, beta: Fraction,
-              k: int) -> ExponentVector:
+              k: int) -> tuple[Fraction, ...]:
     v = [Fraction(0)] * len(ent)
     v[free] = Fraction(k)
     v[solved] = Fraction(beta - k * ent[free], ent[solved])
-    return ExponentVector(tuple(v), k)
+    return tuple(v)
 
 
-def _exponent_list(A: CurveMatrix, beta: Fraction, which: str) -> list[ExponentVector]:
-    """The ``which`` exponents of (A, beta).  A count above the term cap
-    raises ResourceLimitError before any vector is built."""
+def _exponent_list(A: CurveMatrix, beta: Fraction, which: str) -> list[tuple[Fraction, ...]]:
+    """The ``which`` exponents of (A, beta), exponent k at position k.  A
+    count above the term cap raises ResourceLimitError before any vector is
+    built."""
     ent, free, solved = _exponent_axes(A, which)
     count = ent[solved]
     if count > term_cap():
@@ -193,18 +173,19 @@ def _exponent_list(A: CurveMatrix, beta: Fraction, which: str) -> list[ExponentV
     return [_exponent(ent, free, solved, beta, k) for k in range(count)]
 
 
-def _polynomial_exponent(A: CurveMatrix, beta: Fraction) -> ExponentVector:
-    """The one singular exponent that is a nonnegative integer vector, for
-    beta in the semigroup N A.  Its index k solves
+def _polynomial_exponent(A: CurveMatrix, beta: Fraction) -> tuple[int, tuple[Fraction, ...]]:
+    """(k, v^k): the one singular exponent that is a nonnegative integer
+    vector, for beta in the semigroup N A.  Its index k solves
     k * entries[free] = beta mod entries[solved]; the two entries are
     coprime (plane) or entries[free] = 1."""
     ent, free, solved = _exponent_axes(A, "singular")
     k = int(beta) * pow(ent[free], -1, ent[solved]) % ent[solved]
-    return _exponent(ent, free, solved, beta, k)
+    return k, _exponent(ent, free, solved, beta, k)
 
 
-def singular_exponents(system: HypergeometricSystem) -> list[ExponentVector]:
-    """Exponents of the solution basis along the singular direction.
+def singular_exponents(system: HypergeometricSystem) -> list[tuple[Fraction, ...]]:
+    """Exponents of the solution basis along the singular direction,
+    exponent k at position k.
 
     plane: a vectors; smooth/homogenized: a_{n-1} vectors.  They are the
     exponents of lift(A), one coordinate longer for a general matrix; their
@@ -214,8 +195,9 @@ def singular_exponents(system: HypergeometricSystem) -> list[ExponentVector]:
     return _exponent_list(system.matrix, system.beta, "singular")
 
 
-def generic_exponents(system: HypergeometricSystem) -> list[ExponentVector]:
-    """Exponents of the solution basis at a generic point (b resp. a_n many).
+def generic_exponents(system: HypergeometricSystem) -> list[tuple[Fraction, ...]]:
+    """Exponents of the solution basis at a generic point (b resp. a_n many),
+    exponent k at position k.
 
     Raises ResourceLimitError above the term cap.
     """
@@ -230,7 +212,7 @@ def _beta_in_semigroup(A: CurveMatrix, beta: Fraction) -> bool:
     return beta.denominator == 1 and in_semigroup(A.entries, int(beta))
 
 
-def modified_exponent(system: HypergeometricSystem) -> Optional[tuple[int, ExponentVector]]:
+def modified_exponent(system: HypergeometricSystem) -> Optional[tuple[int, tuple[Fraction, ...]]]:
     """(q, vtilde): the lattice translate of the polynomial exponent whose
     negative support is nonempty and *not* minimal.  None when beta is not
     in the semigroup N A.  q is the index of the polynomial exponent v^q.
@@ -246,13 +228,13 @@ def modified_exponent(system: HypergeometricSystem) -> Optional[tuple[int, Expon
     A, beta = system.matrix, system.beta
     if not _beta_in_semigroup(A, beta):
         return None
-    poly = _polynomial_exponent(A, beta)
+    q, poly = _polynomial_exponent(A, beta)
     ent, free, solved = _exponent_axes(A, "singular")
-    m = -((int(poly.v[solved]) + 1) // -ent[free])  # ceil((v_solved + 1) / a_free)
-    v = list(poly.v)
+    m = -((int(poly[solved]) + 1) // -ent[free])  # ceil((v_solved + 1) / a_free)
+    v = list(poly)
     v[free] += m * ent[solved]
     v[solved] -= m * ent[free]
-    return poly.index, ExponentVector(tuple(v), poly.index)
+    return q, tuple(v)
 
 
 def modified_series(system: HypergeometricSystem,

@@ -111,9 +111,7 @@ def gevrey_index_estimate(f: TruncatedSeries, var: int, min_terms: int = 8,
                 "diagonal": "finite series (polynomial): index 1 by convention"}
     if matrix is None:
         raise InvalidInputError("pass matrix= to choose the growth diagonal")
-    if not isinstance(matrix, CurveMatrix):
-        matrix = curve_matrix(matrix)
-    z = _diagonal_direction(matrix, var)
+    z = _diagonal_direction(curve_matrix(matrix), var)
     w, zero = f.frontier.weight, (0,) * f.n
     start = zero if zero in f.terms else min(
         f.terms, key=lambda u: (sum(wi * abs(x) for wi, x in zip(w, u)), u), default=zero)
@@ -249,8 +247,7 @@ def slope_report(A) -> SlopeReport:
     Gevrey index there is slope_threshold(A), recorded both as the jump
     and in the customary negative normalization  a/(a-b) < 0.
     """
-    if not isinstance(A, CurveMatrix):
-        A = curve_matrix(A)
+    A = curve_matrix(A)
     ent = A.entries
     n = A.n
     jump = slope_threshold(A)
@@ -329,8 +326,7 @@ def dimension_table(A, beta, s) -> DimensionTable:
     The table is exact for the plane and smooth families and valid for
     generic parameters in the general family.
     """
-    if not isinstance(A, CurveMatrix):
-        A = curve_matrix(A)
+    A = curve_matrix(A)
     beta = as_rational(beta)
     s = _coerce_s(s)
     thr = slope_threshold(A)
@@ -378,15 +374,14 @@ def polynomial_solution(A, beta) -> Optional[tuple[int, TruncatedSeries]]:
     Raises ResourceLimitError for beta above the term cap, since the
     monomials fill a ball of radius beta.
     """
-    if not isinstance(A, CurveMatrix):
-        A = curve_matrix(A)
+    A = curve_matrix(A)
     beta = as_rational(beta)
     if not _beta_in_semigroup(A, beta):
         return None
     if beta > term_cap():
         raise ResourceLimitError(f"polynomial solution for beta = {beta} exceeds the term cap")
     A, down = lift(A)
-    v = _polynomial_exponent(A, beta)
+    q, v = _polynomial_exponent(A, beta)
     nbeta = int(beta)
     terms = {}
     for x in _lattice_points(A.entries, nbeta, A.entries, nbeta, [0] * A.n):
@@ -394,4 +389,4 @@ def polynomial_solution(A, beta) -> Optional[tuple[int, TruncatedSeries]]:
         terms[u] = gamma_coefficient(v, u)
     span = max((sum(abs(x) for x in u) for u in terms), default=0)
     frontier = TruncationFrontier.uniform(len(v), span)
-    return v.index, down(TruncatedSeries(v.v, terms, frontier, exact=True))
+    return q, down(TruncatedSeries(v, terms, frontier, exact=True))

@@ -77,14 +77,16 @@ class CurveMatrix:
         return "(" + " ".join(str(a) for a in self.entries) + ")"
 
 
-def curve_matrix(entries: Sequence[int]) -> CurveMatrix:
+def curve_matrix(entries: CurveMatrix | Sequence[int]) -> CurveMatrix:
     """Build a CurveMatrix from at least two positive, strictly increasing
-    integers of gcd 1.
+    integers of gcd 1; a CurveMatrix is returned unchanged.
 
     The family follows from the entries: plane if n = 2, smooth if the first
     entry is 1, general otherwise.  A homogenized matrix comes only from
     :func:`homogenize_matrix`.
     """
+    if isinstance(entries, CurveMatrix):
+        return entries
     try:
         ent = tuple(int(a) for a in entries)
     except (TypeError, ValueError) as exc:
@@ -111,16 +113,6 @@ def homogenize_matrix(A: CurveMatrix) -> CurveMatrix:
 # numerical semigroup membership
 
 
-@dataclass(frozen=True)
-class SemigroupCertificate:
-    """Membership verdict for target in N g_1 + ... + N g_r, with witness."""
-
-    generators: tuple[int, ...]
-    target: int
-    member: bool
-    witness: Optional[tuple[int, ...]] = None
-
-
 def _suffix_reach(gens: tuple[int, ...], limit: int) -> list[int]:
     """R_0, ..., R_r as bitsets: bit t of R_k is set iff t <= limit is a sum
     of gens[k:].
@@ -142,26 +134,27 @@ def _suffix_reach(gens: tuple[int, ...], limit: int) -> list[int]:
     return reach
 
 
-def semigroup_contains(generators: Sequence[int], target: int) -> SemigroupCertificate:
-    """Decide target in sum_i N g_i by dynamic programming, with a witness.
+def semigroup_contains(generators: Sequence[int], target: int) -> Optional[tuple[int, ...]]:
+    """A witness (c_1, ..., c_r) >= 0 with sum_i c_i g_i = target, found by
+    dynamic programming, or None when target is not in sum_i N g_i.
 
-    The witness (c_1, ..., c_r) is the lexicographically smallest one: the
-    walk takes the least c_k that leaves a remainder reachable by the later
-    generators.  Negative targets are non-members; target 0 is a member
-    with the zero witness.  Targets above the term cap raise
-    ResourceLimitError rather than silently answering.
+    The witness is the lexicographically smallest one: the walk takes the
+    least c_k that leaves a remainder reachable by the later generators.
+    Negative targets are non-members; target 0 is a member with the zero
+    witness.  Targets above the term cap raise ResourceLimitError rather
+    than silently answering.
     """
     gens = tuple(int(g) for g in generators)
     if not gens or any(g <= 0 for g in gens):
         raise InvalidInputError("semigroup generators must be positive integers")
     target = int(target)
     if target < 0:
-        return SemigroupCertificate(gens, target, False)
+        return None
     if target > term_cap():
         raise ResourceLimitError(f"semigroup target {target} exceeds the term cap")
     reach = _suffix_reach(gens, target)
     if not reach[0] >> target & 1:
-        return SemigroupCertificate(gens, target, False)
+        return None
     counts = []
     t = target
     for k, g in enumerate(gens):
@@ -170,7 +163,7 @@ def semigroup_contains(generators: Sequence[int], target: int) -> SemigroupCerti
             c += 1
         counts.append(c)
         t -= c * g
-    return SemigroupCertificate(gens, target, True, tuple(counts))
+    return tuple(counts)
 
 
 def in_semigroup(generators: Sequence[int], target: int) -> bool:
@@ -185,7 +178,7 @@ def in_semigroup(generators: Sequence[int], target: int) -> bool:
     if gens and min(gens) > 0 and math.gcd(*gens) == 1 \
             and target >= (min(gens) - 1) * (max(gens) - 1):
         return True
-    return semigroup_contains(gens, target).member
+    return semigroup_contains(gens, target) is not None
 
 
 def minimal_delta(A: CurveMatrix, i: int) -> tuple[int, tuple[int, ...]]:
@@ -207,9 +200,8 @@ def minimal_delta(A: CurveMatrix, i: int) -> tuple[int, tuple[int, ...]]:
     ai = A.entries[i]
     delta = 0
     while True:
-        cert = semigroup_contains(others, 1 + delta * ai)
-        if cert.member:
-            w = cert.witness
+        w = semigroup_contains(others, 1 + delta * ai)
+        if w is not None:
             return delta, w[:i] + (0,) + w[i:]
         delta += 1
 

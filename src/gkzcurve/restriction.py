@@ -63,8 +63,7 @@ class Homogenization:
 
 def homogenize(A, beta) -> Homogenization:
     """Homogenize a general matrix and assemble the A'-system for beta."""
-    if not isinstance(A, CurveMatrix):
-        A = curve_matrix(A)
+    A = curve_matrix(A)
     Ah = homogenize_matrix(A)
     system = build_system(Ah, beta)
     data = [minimal_delta(A, i) for i in range(A.n)]
@@ -109,7 +108,9 @@ def b_function_1kakb(k: int, a: int, b: int) -> BFunction:
     """b(tau) = tau (tau - 1) ... (tau - k + 1) for A = (1, ka, kb).
 
     Valid for generic parameters; requires 1 <= a < b, gcd(a, b) = 1 and
-    ka > 1 so that (1, ka, kb) is a smooth-family matrix.
+    ka > 1 so that (1, ka, kb) is a smooth-family matrix.  Raises
+    ResourceLimitError when the k (k + 1) / 2 multiply-adds of expanding
+    the coefficients exceed the term cap.
     """
     if not (1 <= a < b):
         raise InvalidInputError("need 1 <= a < b")
@@ -117,6 +118,8 @@ def b_function_1kakb(k: int, a: int, b: int) -> BFunction:
         raise InvalidInputError("need gcd(a, b) = 1")
     if k < 1 or k * a <= 1:
         raise InvalidInputError("need k >= 1 and ka > 1")
+    if k * (k + 1) // 2 > term_cap():
+        raise ResourceLimitError(f"{k * (k + 1) // 2} b-function multiply-adds exceed the term cap")
     return BFunction(k, tuple(range(k)))
 
 
@@ -165,8 +168,7 @@ def restrict_decomposition(Aprime, beta) -> RestrictionDecomposition:
 
     All decompositions hold for generic parameters.
     """
-    if not isinstance(Aprime, CurveMatrix):
-        Aprime = curve_matrix(Aprime)
+    Aprime = curve_matrix(Aprime)
     beta = as_rational(beta)
     ent = Aprime.entries
     n = Aprime.n
@@ -212,8 +214,7 @@ def ext1_recurrence_solve(A, epsilon, beta, f_coeffs, h_init=None,
     m = 0..num_terms, and raises ResourceLimitError when those a (num_terms
     + 1) entries exceed the term cap.
     """
-    if not isinstance(A, CurveMatrix):
-        A = curve_matrix(A)
+    A = curve_matrix(A)
     if A.family != "plane":
         raise InvalidInputError("the recurrence is stated for plane matrices")
     if num_terms < 0:
@@ -253,8 +254,7 @@ def recurrence_series(A, beta, table, shift: int = 0,
     Chains with different k have incommensurable base exponents, so one
     series per residue k is returned, in increasing order of k.
     """
-    if not isinstance(A, CurveMatrix):
-        A = curve_matrix(A)
+    A = curve_matrix(A)
     a, b = A.entries
     beta = as_rational(beta)
     frontier = TruncationFrontier.uniform(2, bound)
@@ -305,8 +305,7 @@ def ext1_generator(A, beta) -> TruncatedSeries:
     other toric generator, but not by P_{n-1}.  (Cross-checked in the test
     suite against applying P_{n-1} to the truncated modified series.)
     """
-    if not isinstance(A, CurveMatrix):
-        A = curve_matrix(A)
+    A = curve_matrix(A)
     if A.family not in ("smooth", "homogenized"):
         raise InvalidInputError("ext1_generator expects a smooth matrix")
     beta = as_rational(beta)

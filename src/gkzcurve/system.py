@@ -67,8 +67,7 @@ def build_system(A, beta) -> HypergeometricSystem:
     family the toric binomials are those of support degree at most twice
     the largest entry.
     """
-    if not isinstance(A, CurveMatrix):
-        A = curve_matrix(A)
+    A = curve_matrix(A)
     beta = as_rational(beta)
     ent = A.entries
     n = A.n

@@ -62,12 +62,12 @@ def test_criterion_1_exponents():
             sing = singular_exponents(system)
             gen = generic_exponents(system)
             assert len(sing) == p and len(gen) == q
-            for e in sing + gen:
-                assert A.dot(e.v) == beta
-                assert has_minimal_nsupp(e.v, A).minimal
+            for v in sing + gen:
+                assert A.dot(v) == beta
+                assert has_minimal_nsupp(v, A).minimal
             # distinct exponents at each point
-            assert len({e.v for e in sing}) == p
-            assert len({e.v for e in gen}) == q
+            assert len(set(sing)) == p
+            assert len(set(gen)) == q
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(1, f"exponent counts, weights and minimality for {len(MATRICES)} "
@@ -248,7 +248,7 @@ def test_criterion_9_oracle_equivalence():
             for c0 in range(t // gens[0] + 1)
             if semigroup_state(gens[1:], t - c0 * gens[0])
         )
-        assert semigroup_contains(gens, t).member == brute
+        assert (semigroup_contains(gens, t) is not None) == brute
     for entries, i, want in [((2, 3), 0, (1, (0, 1))),
                              ((2, 3), 1, (1, (2, 0))),
                              ((3, 4, 5), 2, (1, (2, 0, 0)))]:

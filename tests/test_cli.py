@@ -15,6 +15,7 @@ from gkzcurve import (
     TruncationFrontier,
     build_system,
     curve_matrix,
+    ext1_recurrence_solve,
     gamma_series,
     generic_exponents,
     has_minimal_nsupp,
@@ -92,7 +93,7 @@ def test_restrict_homogenize_bfunction(capsys):
     hom = run_json(capsys, "homogenize", "-A", "3,4,5", "-b", "0")
     assert hom["matrix"] == [1, 3, 4, 5] and hom["deltas"] == [1, 1, 1]
     bf = run_json(capsys, "bfunction", "-k", "2", "-a", "2", "-b", "3")
-    assert bf["roots"] == [0, 1]
+    assert bf == {"coefficients": ["0", "-1", "1"], "k": 2, "roots": [0, 1]}
 
 
 def test_solve_ext1_and_polysol(capsys):
@@ -177,7 +178,13 @@ def test_series_and_gevrey_index_build_only_the_lifted_system(capsys, monkeypatc
     def refuse(A):
         raise AssertionError(f"the system of {A} was built")
 
+    exponents = ("exponents", "-A", "4,5,6,7", "-b", "2")
+    want = run_json(capsys, *exponents)
     monkeypatch.setattr(system_module, "_general_kernel", refuse)
+    assert run_json(capsys, *exponents) == want
+    # a modified series needs A to be its own lift: refused before any system is built
+    code, out, err = run(capsys, "series", "-A", "4,5,6,7", "-b", "3", "--point", "modified")
+    assert code == 2 and out == "" and "general matrix" in err
     for point, index in (("singular", "0"), ("generic", "3")):
         code, out, err = run(capsys, "series", "-A", "4,5,6,7", "-b", "1/2", "--point", point,
                              "--index", index, "--bound", "10")
@@ -199,9 +206,9 @@ def test_general_matrix_exponents_checked_on_the_homogenization(capsys, matrix):
                       ("generic", generic_exponents(system))):
         checks = [(v, has_minimal_nsupp(v, Ah)) for v in vs]
         assert data[which] == [
-            {"index": v.index, "vector": [format_rational(x) for x in v],
+            {"index": k, "vector": [format_rational(x) for x in v],
              "minimal_negative_support": res.minimal, "exact_check": res.exact}
-            for v, res in checks
+            for k, (v, res) in enumerate(checks)
         ]
 
 
@@ -224,6 +231,47 @@ def test_term_cap_exit_code(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0, argv
         assert code == 3 and out == "" and "resource" in err, argv
+
+
+def test_bfunction_refuses_by_expansion_size(capsys, monkeypatch):
+    # expanding prod (tau - r) over k roots takes k (k + 1) / 2 multiply-adds:
+    # 1953 for k = 62, 2016 for k = 63
+    monkeypatch.setenv("GKZ_TERM_CAP", "2000")
+    assert run_json(capsys, "bfunction", "-k", "62", "-a", "2", "-b", "3")["k"] == 62
+    code, out, err = run(capsys, "bfunction", "-k", "63", "-a", "2", "-b", "3")
+    assert code == 3 and out == "" and "resource" in err
+    monkeypatch.delenv("GKZ_TERM_CAP")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bfunction", "-k", "100000000", "-a", "2", "-b", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and "resource" in err
+
+
+@pytest.fixture
+def no_int_digit_limit():
+    """Lift Python's int/str digit limit in this process for one test."""
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    yield
+    if saved is not None:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_answers_past_the_int_str_digit_limit(no_int_digit_limit):
+    # coefficients of more than 4,300 digits, printed by a fresh interpreter
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-m", "gkzcurve", "solve-ext1", "-A", "2,3", "-b", "1",
+         "--terms", "900", "--f", '[{"k":0,"m":0,"coeff":"1"}]'],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0 and out.stderr == ""
+    got = {(e["k"], e["m"]): F(e["coeff"]) for e in json.loads(out.stdout)}
+    want = ext1_recurrence_solve((2, 3), 1, 1, {(0, 0): F(1)}, num_terms=900)
+    assert got == want
+    assert max(len(str(abs(c.numerator))) for c in got.values()) > 4300
 
 
 def test_term_cap_refuses_by_request_size_before_the_walk(capsys):

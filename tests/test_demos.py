@@ -1,4 +1,5 @@
-"""Each demo runs to completion in a fresh interpreter, with nothing on stderr."""
+"""Each demo runs to completion in a fresh interpreter, with nothing on stderr,
+and prints exactly its recording in demo_stdout/ (estimates to 4 decimals)."""
 
 import os
 import pathlib
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+RECORDED = ROOT / "tests" / "demo_stdout"
 
 
 def test_demos_found():
@@ -24,4 +26,4 @@ def test_demo_runs_cleanly(demo):
                          env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
-    assert out.stdout
+    assert out.stdout == (RECORDED / f"{demo.stem}.txt").read_text()

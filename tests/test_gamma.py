@@ -11,7 +11,6 @@ from gkzcurve.gamma import (
     _beta_in_semigroup,
     _exponent_axes,
     _polynomial_exponent,
-    ExponentVector,
     gamma_coefficient,
     gamma_series,
     generic_exponents,
@@ -150,8 +149,12 @@ def test_exponent_counts_weights_and_supports(entries, beta):
     else:
         assert len(sing) == entries[-2] and len(gen) == entries[-1]
     for v in sing + gen:
-        assert A.dot(v.v) == beta
+        assert A.dot(v) == beta
         assert has_minimal_nsupp(v, A).minimal
+    # exponent k sits at position k: its free coordinate holds k
+    free = 1 if A.family == "plane" else 0
+    assert [v[free] for v in sing] == list(range(len(sing)))
+    assert [v[0] for v in gen] == list(range(len(gen)))
 
 
 def test_general_family_exponents_live_on_homogenization():
@@ -162,7 +165,7 @@ def test_general_family_exponents_live_on_homogenization():
     Ah = homogenize_matrix(system.matrix)
     for v in sing + gen:
         assert len(v) == 4
-        assert Ah.dot(v.v) == 2
+        assert Ah.dot(v) == 2
 
 
 def test_gamma_series_constant_term_and_annihilation():
@@ -185,7 +188,7 @@ def test_modified_exponent_plane():
     got = modified_exponent(build_system((2, 3), 2))
     assert got is not None
     q, vt = got
-    assert q == 0 and vt.v == (F(-2), F(2))
+    assert q == 0 and vt == (F(-2), F(2))
     # beta = 1 is not in 2N + 3N
     assert modified_exponent(build_system((2, 3), 1)) is None
     assert modified_exponent(build_system((2, 3), F(1, 2))) is None
@@ -195,10 +198,10 @@ def test_modified_exponent_smooth():
     got = modified_exponent(build_system((1, 2, 5), 3))
     assert got is not None
     q, vt = got
-    assert q == 1 and vt.v == (F(5), F(-1), F(0))
+    assert q == 1 and vt == (F(5), F(-1), F(0))
     # general (3 4 5): on the homogenized matrix (1 3 4 5), q = 3 mod 4
     q, vt = modified_exponent(build_system((3, 4, 5), 3))
-    assert q == 3 and vt.v == (F(7), F(0), F(-1), F(0))
+    assert q == 3 and vt == (F(7), F(0), F(-1), F(0))
     # a homogenized matrix answers as the smooth matrix with the same
     # entries: its own semigroup holds every beta >= 0, the gaps 1, 2 of
     # <3,4,5> included
@@ -216,19 +219,18 @@ def modified_exponent_by_family(system):
     A, beta = system.matrix, system.beta
     if not _beta_in_semigroup(A, beta):
         return None
-    poly = _polynomial_exponent(A, beta)
-    q = poly.index
+    q, poly = _polynomial_exponent(A, beta)
     ent = _exponent_axes(A, "singular")[0]
     if A.family == "plane":
         a, b = ent
-        m0 = int(poly.v[0])
+        m0 = int(poly[0])
         mprime = -((m0 + 1) // -b)  # ceil((m0+1)/b)
-        return q, ExponentVector((F(m0 - b * mprime), F(q + a * mprime)), q)
+        return q, (F(m0 - b * mprime), F(q + a * mprime))
     n = len(ent)
     v = [F(0)] * n
     v[0] = beta + ent[n - 2]
     v[n - 2] = F(-1)
-    return q, ExponentVector(tuple(v), q)
+    return q, tuple(v)
 
 
 MODIFIED_GRID = (
@@ -252,7 +254,7 @@ def test_one_translate_matches_the_family_formulas():
             assert got == modified_exponent_by_family(system), (A, beta)
             if got is not None:
                 answered += 1
-                assert all(isinstance(x, F) for x in got[1].v)
+                assert all(isinstance(x, F) for x in got[1])
     assert answered > 1000
 
 
@@ -276,10 +278,10 @@ def test_restrict_series_x0():
     f = gamma_series(v, hom_system, fr)
     r = restrict_series_x0(f)
     assert r.n == 3
-    assert r.frontier.bound == 24 - int(v.v[0])
+    assert r.frontier.bound == 24 - int(v[0])
     # every kept term had x0-exponent zero and keeps its coefficient
     for u, c in r.terms.items():
-        full = (-int(v.v[0]),) + u
+        full = (-int(v[0]),) + u
         assert f.coefficient(full) == c
     # restricted series is killed by the general system (generic beta fact)
     gen_system = build_system(A, 2)
