@@ -39,8 +39,8 @@ from typing import Callable, Optional, Sequence
 from .errors import InvalidInputError, ResourceLimitError
 from .lattice import (
     CurveMatrix,
+    _lattice_runs,
     curve_matrix,
-    enumerate_offsets,
     homogenize_matrix,
     in_semigroup,
     term_cap,
@@ -114,6 +114,34 @@ def gamma_coefficient(v, u) -> Fraction:
     return _gamma_ratio(p, q, u)
 
 
+def _ratio_step(p: int, q: int, k: int, m: int) -> tuple[int, int]:
+    """T(k + m) / T(k) as (num, den) for coordinate i's factor T of
+    Gamma[v; u] at u_i = k (see gamma_series): m linear factors."""
+    if m >= 0:
+        return q**m, falling_product(p + (k + m) * q, q, m)
+    return falling_product(p + k * q, q, -m), q**-m
+
+
+def _gamma_terms(p: Sequence[int], q: Sequence[int], z: Sequence[int],
+                 runs: Sequence[tuple[tuple[int, ...], int]]) -> dict[tuple[int, ...], Fraction]:
+    """Gamma[v; u] for v_i = p_i / q_i over the runs u, u + z, ... of
+    :func:`_lattice_runs`, every u in N_v: each run's first term from
+    :func:`_gamma_ratio`, every later one by one ratio step on the two
+    coordinates, 0 and n - 1, that z moves."""
+    p0, q0, d, pn, qn, s = p[0], q[0], z[0], p[-1], q[-1], z[-1]
+    terms = {}
+    for u, count in runs:
+        c = terms[u] = _gamma_ratio(p, q, u)
+        u0, un, mid = u[0], u[-1], u[1:-1]
+        for _ in range(count - 1):
+            a, b = _ratio_step(p0, q0, u0, d)
+            e, f = _ratio_step(pn, qn, un, s)
+            u0 += d
+            un += s
+            c = terms[(u0, *mid, un)] = c * Fraction(a * e, b * f)
+    return terms
+
+
 def gamma_series(v, system: HypergeometricSystem,
                  frontier: TruncationFrontier) -> TruncatedSeries:
     """Truncated expansion of phi_v inside the frontier.
@@ -121,6 +149,16 @@ def gamma_series(v, system: HypergeometricSystem,
     Complete: every u in N_v with weighted norm <= frontier.bound appears.
     N_v is the box u_i >= -v_i for integer v_i >= 0, u_i <= -v_i - 1 for
     integer v_i < 0, which the enumerator walks; no coefficient there is 0.
+
+    The walk returns runs u, u + z, ..., and Gamma[v; u + z] follows from
+    Gamma[v; u] by a ratio step (the Horn-type recurrence of a Gamma series).
+    Write Gamma[v; u] = prod_i T_i(u_i), with T_i(k) = (v_i)_{-k} for k <= 0
+    and 1 / (v_i + k)_k for k > 0.  Then T_i(k + 1) / T_i(k) = 1 / (v_i + k + 1)
+    = q_i / (p_i + (k + 1) q_i) for every k, v_i = p_i / q_i: for k >= 0 one
+    more factor joins the denominator, for k < 0 one leaves the numerator.
+    No factor is 0 inside the box of N_v.  A step of z multiplies a reduced
+    Fraction by a ratio of |z_0| + |z_{n-1}| small linear factors, which
+    costs gcds of a big and a small integer, not of two big ones.
     """
     v = as_rational_vector(v)
     A = system.matrix
@@ -128,10 +166,13 @@ def gamma_series(v, system: HypergeometricSystem,
         raise InvalidInputError("exponent dimension mismatch")
     if A.dot(v) != system.beta:
         raise InvalidInputError(f"A.v = {A.dot(v)} differs from beta = {system.beta}")
+    if len(frontier.weight) != A.n:
+        raise InvalidInputError("frontier dimension mismatch")
     p, q = [x.numerator for x in v], [x.denominator for x in v]
     lower = [-a if b == 1 and a >= 0 else None for a, b in zip(p, q)]
     upper = [-a - 1 if b == 1 and a < 0 else None for a, b in zip(p, q)]
-    terms = {u: _gamma_ratio(p, q, u) for u in enumerate_offsets(A, frontier, lower, upper)}
+    terms = _gamma_terms(p, q, *_lattice_runs(A.entries, 0, frontier.weight, frontier.bound,
+                                              lower, upper))
     return TruncatedSeries(v, terms, frontier)
 
 

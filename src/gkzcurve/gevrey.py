@@ -28,6 +28,7 @@ the unique slope threshold (b/a, resp. a_n/a_{n-1}).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -35,13 +36,13 @@ from typing import Optional
 from .errors import InvalidInputError, ResourceLimitError
 from .gamma import (
     _beta_in_semigroup,
+    _gamma_terms,
     _polynomial_exponent,
-    gamma_coefficient,
     lift,
 )
 from .lattice import (
     CurveMatrix,
-    _lattice_points,
+    _lattice_runs,
     curve_matrix,
     term_cap,
 )
@@ -368,7 +369,8 @@ def polynomial_solution(A, beta) -> Optional[tuple[int, TruncatedSeries]]:
     (q, series): the base is v^q, the one singular exponent that is a
     nonnegative integer vector, and its Gamma series terminates.  The
     monomials are the x >= 0 with A.x = beta, each with coefficient
-    Gamma[v^q; x - v^q].  The series is exact (complete) and can be checked
+    Gamma[v^q; x - v^q], stepped along the runs of the walk as in
+    :func:`gamma.gamma_series`.  The series is exact (complete) and can be checked
     against the system without frontier loss.  beta is tested against the
     semigroup of A; the polynomial is computed on lift(A) and brought down.
     Raises ResourceLimitError for beta above the term cap, since the
@@ -383,10 +385,10 @@ def polynomial_solution(A, beta) -> Optional[tuple[int, TruncatedSeries]]:
     A, down = lift(A)
     q, v = _polynomial_exponent(A, beta)
     nbeta = int(beta)
-    terms = {}
-    for x in _lattice_points(A.entries, nbeta, A.entries, nbeta, [0] * A.n):
-        u = tuple(xi - int(vi) for xi, vi in zip(x, v))
-        terms[u] = gamma_coefficient(v, u)
+    p = [int(x) for x in v]
+    z, runs = _lattice_runs(A.entries, nbeta, A.entries, nbeta, [0] * A.n)
+    terms = _gamma_terms(p, [1] * A.n, z, [(tuple(map(operator.sub, x, p)), count)
+                                           for x, count in runs])
     span = max((sum(abs(x) for x in u) for u in terms), default=0)
     frontier = TruncationFrontier.uniform(len(v), span)
     return q, down(TruncatedSeries(v, terms, frontier, exact=True))

@@ -221,19 +221,39 @@ def _lattice_points(coeffs: Sequence[int], rhs: int, weight: Sequence[int], boun
                     lower: Sequence[Optional[int]],
                     upper: Optional[Sequence[Optional[int]]] = None) -> list[tuple[int, ...]]:
     """Every integer x with coeffs.x = rhs, sum_i weight_i |x_i| <= bound and
-    lower_i <= x_i <= upper_i (None: no bound), sorted.
+    lower_i <= x_i <= upper_i (None: no bound), sorted: the runs of
+    :func:`_lattice_runs` expanded.
 
-    The one bounded-lattice enumerator of the package.  Coordinates 1..n-1
-    range over the ball clipped to their bounds, coordinate 0 is solved from
-    the equation (coeffs[0] != 0), and a partial vector is dropped once
-    |rest| exceeds max |c_i| / w_i over coordinate 0 and the open
-    coordinates, times the budget left.  ResourceLimitError is raised before
-    the walk when the ball of coordinates 1..n-1 (over x >= 0 when every
-    lower_i >= 0 there) at radius bound // min weight, an upper bound on
-    the request, holds more points than the term cap.
+    The one bounded-lattice walk of the package.  Coordinates 1..n-2 range
+    over the ball clipped to their bounds, and a partial vector is dropped
+    once |rest| exceeds max |c_i| / w_i over coordinate 0 and the open
+    coordinates, times the budget left.  The last free coordinate x_{n-1}
+    is solved, not visited (coeffs[0] != 0): coordinate 0 is an integer
+    only for x_{n-1} in one residue class mod s = |c_0| / gcd(c_0, c_{n-1}),
+    coordinate 0's bounds are linear in x_{n-1}, and the budget
+    w_0 |x_0| + w_{n-1} |x_{n-1}| <= left is convex in it, so the solutions
+    form an interval of that class.  Each leaf of the walk thus yields one
+    run: a first point, a count, and the step
+    z = (-c_{n-1} s / c_0, 0, ..., 0, s).  ResourceLimitError is raised
+    before the walk when the ball of coordinates 1..n-1 (over x >= 0 when
+    every lower_i >= 0 there) at radius bound // min weight, an upper bound
+    on the request, holds more points than the term cap.
+    """
+    z, runs = _lattice_runs(coeffs, rhs, weight, bound, lower, upper)
+    return sorted(tuple(a + k * b for a, b in zip(x, z)) for x, count in runs
+                  for k in range(count))
+
+
+def _lattice_runs(coeffs: Sequence[int], rhs: int, weight: Sequence[int], bound: int,
+                  lower: Sequence[Optional[int]],
+                  upper: Optional[Sequence[Optional[int]]] = None
+                  ) -> tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]:
+    """(z, runs): the points of :func:`_lattice_points` as runs.  Run
+    (x, count) stands for x, x + z, ..., x + (count - 1) z, with one step z
+    for every run; runs are disjoint and in walk order, not sorted.
     """
     if bound < 0:
-        return []
+        return (0,) * len(coeffs), []
     n = len(coeffs)
     signed = any(lo is None or lo < 0 for lo in lower[1:])
     if _ball_count(n - 1, bound // min(weight[1:], default=1), signed) > term_cap():
@@ -242,23 +262,51 @@ def _lattice_points(coeffs: Sequence[int], rhs: int, weight: Sequence[int], boun
     hi = [bound // w if b is None else min(b, bound // w)
           for b, w in zip(upper or [None] * n, weight)]
     c0, w0 = coeffs[0], weight[0]
+    if n == 1:
+        x0, r = divmod(rhs, c0)
+        ok = not r and lo[0] <= x0 <= hi[0]
+        return (0,), [((x0,), 1)] if ok else []
+    # x_{n-1} = xb + s k and x_0 = yb + d k solve c_0 x_0 + cn x_{n-1} = rest
+    cn, wn = coeffs[-1], weight[-1]
+    g = math.gcd(c0, cn)
+    s = abs(c0) // g
+    d = -cn * s // c0
+    inv = pow(cn // g, -1, s)
+    step = (d,) + (0,) * (n - 2) + (s,)
+    # x_0's two bounds and the budget w0 |x_0| + wn |x_{n-1}| <= left, as
+    # its four sign choices, are each one a k <= b with a from ks
+    ks = (-d, d, w0 * d + wn * s, w0 * d - wn * s, wn * s - w0 * d, -w0 * d - wn * s)
+    lo0, hi0, lon, hin = lo[0], hi[0], lo[-1], hi[-1]
     # reach[pos] = (|c|, w) of largest |c|/w among coordinates 0 and pos..n-1
     reach = [(abs(c0), w0)] * (n + 1)
     for pos in range(n - 1, 0, -1):
         c, w = reach[pos + 1]
         big = abs(coeffs[pos]) * w > c * weight[pos]
         reach[pos] = (abs(coeffs[pos]), weight[pos]) if big else (c, w)
-    out: list[tuple[int, ...]] = []
+    runs: list[tuple[tuple[int, ...], int]] = []
 
     def rec(pos: int, partial: list[int], left: int, rest: int) -> None:
         # rest = rhs - sum_{1 <= i < pos} coeffs_i x_i; left = budget unused
         c, w = reach[pos]
         if abs(rest) * w > c * left:
             return
-        if pos == n:
-            x0, r = divmod(rest, c0)
-            if not r and lo[0] <= x0 <= hi[0] and w0 * abs(x0) <= left:
-                out.append((x0, *partial))
+        if pos == n - 1:
+            if rest % g:
+                return
+            xb = rest // g * inv % s
+            yb = (rest - cn * xb) // c0
+            kmin, kmax = -((xb - lon) // s), (hin - xb) // s
+            for a, b in zip(ks, (yb - lo0, hi0 - yb, left - w0 * yb - wn * xb,
+                                 left - w0 * yb + wn * xb, left + w0 * yb - wn * xb,
+                                 left + w0 * yb + wn * xb)):
+                if a > 0:
+                    kmax = min(kmax, b // a)
+                elif a < 0:
+                    kmin = max(kmin, -(b // -a))
+                elif b < 0:
+                    return
+            if kmin <= kmax:
+                runs.append(((yb + d * kmin, *partial, xb + s * kmin), kmax - kmin + 1))
             return
         cp, wp = coeffs[pos], weight[pos]
         lim = left // wp
@@ -268,8 +316,7 @@ def _lattice_points(coeffs: Sequence[int], rhs: int, weight: Sequence[int], boun
             partial.pop()
 
     rec(1, [], bound, rhs)
-    out.sort()
-    return out
+    return step, runs
 
 
 def enumerate_offsets(A: CurveMatrix, frontier, lower: Optional[Sequence] = None,

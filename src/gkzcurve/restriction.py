@@ -86,15 +86,13 @@ class BFunction:
     roots: tuple[int, ...]
 
     def coefficients(self) -> tuple[Fraction, ...]:
-        """Coefficients of prod (tau - r), lowest degree first."""
-        coeffs = [Fraction(1)]
+        """Coefficients of prod (tau - r), lowest degree first, expanded in
+        integers (the roots are integers)."""
+        coeffs = [1]
         for r in self.roots:
-            nxt = [Fraction(0)] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i + 1] += c
-                nxt[i] -= r * c
-            coeffs = nxt
-        return tuple(coeffs)
+            # c_i of the product with (tau - r) is c_{i-1} - r c_i
+            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        return tuple(map(Fraction, coeffs))
 
     def to_json(self) -> dict:
         return {

@@ -76,15 +76,16 @@ class TruncatedSeries:
     def __init__(self, base, terms: Mapping, frontier: TruncationFrontier,
                  exact: bool = False):
         base = as_rational_vector(base)
+        n, weight, bound = len(base), frontier.weight, frontier.bound
         clean: dict[tuple[int, ...], Fraction] = {}
         for off, c in terms.items():
             c = as_rational(c)
-            if c == 0:
+            if not c:
                 continue
-            off = tuple(int(x) for x in off)
-            if len(off) != len(base):
+            off = tuple(map(int, off))
+            if len(off) != n:
                 raise InvalidInputError("offset dimension mismatch")
-            if not exact and not frontier.contains(off):
+            if not exact and sum(map(operator.mul, weight, map(abs, off))) > bound:
                 raise InvalidInputError(f"offset {off} lies outside the frontier")
             clean[off] = c
         self.base = base
@@ -221,6 +222,13 @@ def apply_operator(op: WeylOperator, f: TruncatedSeries) -> TruncatedSeries:
     Terms c x^p d^q of one shift p - q act together: c_u x^{base+u} adds
     c_u * S at u + p - q, with S = sum c (base + u)_q an integer sum over one
     denominator, so S = 0 (the Euler operator) costs no big multiply.
+
+    Each target's sum is an unreduced integer pair (num, den), and a
+    contribution is added by cross-multiplication, which needs no gcd; a sum
+    that cancels drops back to (0, 1).  A target gets at most one
+    contribution per shift, so a pair is a product of a few coefficients and
+    lives for this call only.  A Fraction is built only for a nonzero sum at
+    the end, so an annihilating operator builds none.
     """
     if op.n != f.n:
         raise InvalidInputError("operator/series dimension mismatch")
@@ -231,17 +239,37 @@ def apply_operator(op: WeylOperator, f: TruncatedSeries) -> TruncatedSeries:
     for c_op, p, q in op.terms:
         groups.setdefault(tuple(map(operator.sub, p, q)), []).append(
             (c_op / math.prod(map(pow, bq, q)), [(i, qi) for i, qi in enumerate(q) if qi]))
-    acc: dict[tuple[int, ...], Fraction] = {}
+    source = [(u, c.numerator, c.denominator) for u, c in f.terms.items()]
+    weight, bound = new_frontier.weight, new_frontier.bound
+    acc: dict[tuple[int, ...], tuple[int, int]] = {}
     for shift, terms in groups.items():
         den = math.lcm(*(k.denominator for k, _ in terms))
-        terms = [(k.numerator * (den // k.denominator), nz) for k, nz in terms]
-        for u, c in f.terms.items():
-            s = sum(k * math.prod(falling_product(bp[i] + u[i] * bq[i], bq[i], qi)
-                                  for i, qi in nz) for k, nz in terms)
+        # q_i-scaled (base_i + u_i)_{q_i} of each term, cached by u_i
+        terms = [(k.numerator * (den // k.denominator), [(i, qi, {}) for i, qi in nz])
+                 for k, nz in terms]
+        for u, num, cden in source:
             newu = tuple(map(operator.add, u, shift))
-            if s and (exact or new_frontier.contains(newu)):
-                acc[newu] = acc.get(newu, 0) + c * Fraction(s, den)
-    return TruncatedSeries(f.base, acc, new_frontier, exact)
+            if not exact and sum(map(operator.mul, weight, map(abs, newu))) > bound:
+                continue
+            s = 0
+            for k, nz in terms:
+                for i, qi, table in nz:
+                    ui = u[i]
+                    x = table.get(ui)
+                    if x is None:
+                        x = table[ui] = falling_product(bp[i] + ui * bq[i], bq[i], qi)
+                    k *= x
+                s += k
+            if s:
+                a, b = num * s, cden * den
+                old = acc.get(newu)
+                if old is None:
+                    acc[newu] = (a, b)
+                else:
+                    a = old[0] * b + a * old[1]
+                    acc[newu] = (a, old[1] * b) if a else (0, 1)
+    terms = {u: Fraction(a, b) for u, (a, b) in acc.items() if a}
+    return TruncatedSeries(f.base, terms, new_frontier, exact)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ import time
 from fractions import Fraction as F
 
 from gkzcurve import (
-    CurveMatrix,
     TruncationFrontier,
     apply_operator,
     b_function_1kakb,

@@ -361,7 +361,8 @@ def test_gamma_series_matches_full_ball_walk(request):
 
 def test_gamma_series_matches_full_ball_walk_on_bench_sizes():
     for entries, beta, bound in (((2, 3), F(1), 400), ((1, 2, 5), F(1, 2), 60),
-                                 ((1, 2, 3, 5), F(3, 2), 24)):
+                                 ((1, 2, 3, 5), F(3, 2), 24),
+                                 (homogenize_matrix(curve_matrix((3, 4, 5))), F(1, 2), 20)):
         system = build_system(entries, beta)
         fr = TruncationFrontier.uniform(system.n, bound)
         for v in singular_exponents(system) + generic_exponents(system):

@@ -19,7 +19,7 @@ from gkzcurve.gevrey import (
 )
 from gkzcurve.lattice import curve_matrix, homogenize_matrix, in_semigroup
 from gkzcurve.rationals import log_abs
-from gkzcurve.series import TruncationFrontier, apply_operator, verify_annihilation
+from gkzcurve.series import TruncationFrontier, apply_operator
 from gkzcurve.system import build_system
 
 

@@ -9,6 +9,7 @@ from gkzcurve.lattice import (
     CurveMatrix,
     _ball_count,
     _lattice_points,
+    _lattice_runs,
     curve_matrix,
     delta_j_set,
     enumerate_offsets,
@@ -266,9 +267,21 @@ def test_enumerate_offsets_cap(monkeypatch):
         enumerate_offsets(A, TruncationFrontier.uniform(2, 40))
 
 
+def lattice_box_scan(coeffs, rhs, weight, bound, signed):
+    """Every x of the box |x_i| <= bound // w_i (x >= 0 unless ``signed``)
+    on the hyperplane and inside the weighted ball, sorted (test oracle)."""
+    box = [range(-(bound // w) if signed else 0, bound // w + 1) if bound >= 0 else range(0)
+           for w in weight]
+    return sorted(
+        x for x in itertools.product(*box)
+        if sum(c * xi for c, xi in zip(coeffs, x)) == rhs
+        and sum(w * abs(xi) for w, xi in zip(weight, x)) <= bound
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    data=st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 3)), min_size=1, max_size=3),
+    data=st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 3)), min_size=0, max_size=3),
     c0=st.integers(-4, 4).filter(bool),
     w0=st.integers(1, 3),
     rhs=st.integers(-6, 6),
@@ -279,13 +292,7 @@ def test_enumerate_offsets_cap(monkeypatch):
 def test_lattice_points_match_box_scan(data, c0, w0, rhs, bound, signed, clips):
     coeffs = (c0,) + tuple(c for c, _ in data)
     weight = (w0,) + tuple(w for _, w in data)
-    box = [range(-(bound // w) if signed else 0, bound // w + 1) if bound >= 0 else range(0)
-           for w in weight]
-    expected = sorted(
-        x for x in itertools.product(*box)
-        if sum(c * xi for c, xi in zip(coeffs, x)) == rhs
-        and sum(w * abs(xi) for w, xi in zip(weight, x)) <= bound
-    )
+    expected = lattice_box_scan(coeffs, rhs, weight, bound, signed)
     n = len(coeffs)
     assert _lattice_points(coeffs, rhs, weight, bound, [None if signed else 0] * n) == expected
     # per-coordinate bounds clip the same scan
@@ -297,6 +304,36 @@ def test_lattice_points_match_box_scan(data, c0, w0, rhs, bound, signed, clips):
                if all(lo is None or lo <= xi for lo, xi in zip(lower, x))
                and all(hi is None or xi <= hi for hi, xi in zip(upper, x))]
     assert _lattice_points(coeffs, rhs, weight, bound, lower, upper) == clipped
+
+
+@pytest.mark.parametrize("coeffs, weight", [
+    ((4, 6), (1, 1)),            # gcd 2: the solved coordinate steps by 2
+    ((-6, 4), (2, 1)),           # step 3, coordinate 0 moves up by 2
+    ((9, 1, 6), (1, 2, 1)),      # step 3 behind a free coordinate
+    ((6, -2, 3, 10), (2, 2, 2, 1)),  # step 3, coordinate 0 moves by -5
+    ((5, 2, 0), (1, 1, 3)),      # c_{n-1} = 0: only x_{n-1} moves
+])
+def test_lattice_points_match_box_scan_with_long_steps(coeffs, weight):
+    n = len(coeffs)
+    g = math.gcd(coeffs[0], coeffs[-1])
+    step = (-coeffs[-1] * (abs(coeffs[0]) // g) // coeffs[0],) + (0,) * (n - 2) \
+        + (abs(coeffs[0]) // g,)
+    longest = 0
+    for rhs in (-7, 0, 4, 12):
+        for signed in (True, False):
+            lower = [None if signed else 0] * n
+            expected = lattice_box_scan(coeffs, rhs, weight, 14, signed)
+            assert _lattice_points(coeffs, rhs, weight, 14, lower) == expected
+            z, runs = _lattice_runs(coeffs, rhs, weight, 14, lower)
+            assert z == step
+            assert sum(count for _, count in runs) == len(expected)
+            longest = max([longest] + [count for _, count in runs])
+        # bounds on both moving coordinates cut the runs from either end
+        lower, upper = [-3] + [None] * (n - 1), [None] * (n - 1) + [2]
+        clipped = [x for x in lattice_box_scan(coeffs, rhs, weight, 14, True)
+                   if x[0] >= -3 and x[-1] <= 2]
+        assert _lattice_points(coeffs, rhs, weight, 14, lower, upper) == clipped
+    assert longest > 1
 
 
 @settings(max_examples=60, deadline=None)

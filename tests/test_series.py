@@ -190,6 +190,18 @@ def test_apply_operator_matches_termwise_loop_on_gamma_series():
                          TruncationFrontier.uniform(system.n, bound))
         for op in system.operators:
             assert apply_operator(op, f).terms == apply_operator_termwise(op, f).terms
+        # non-annihilating: the operators at beta + 1 (E leaves -f), and the
+        # same coefficients on the base moved by e_0, off which the binomials
+        # leave two nonzero contributions per target
+        moved = TruncatedSeries((f.base[0] + 1,) + f.base[1:], f.terms, f.frontier)
+        for g, ops in ((f, build_system(entries, beta + 1).operators),
+                       (moved, system.operators)):
+            residuals = [apply_operator(op, g) for op in ops]
+            assert sum(len(r.terms) for r in residuals) > len(g.terms) // 2
+            for op, got in zip(ops, residuals):
+                want = apply_operator_termwise(op, g)
+                assert got.terms == want.terms
+                assert got.frontier == want.frontier
     # an exact series: the polynomial solution, with every operator
     system = build_system((1, 2, 5), 12)
     _, f = polynomial_solution((1, 2, 5), 12)
