@@ -11,6 +11,7 @@ from gkzcurve import (
     TruncationFrontier,
     apply_operator,
     build_system,
+    gamma_coefficient,
     gamma_series,
     generic_exponents,
     gevrey_index_estimate,
@@ -41,6 +42,8 @@ def main():
     print(f"\nphi_v for v = {tuple(str(x) for x in v)}, {len(f.terms)} terms:")
     for u, c in f.sorted_terms()[:6]:
         print(f"  offset {u}: {c}")
+    # each coefficient is Gamma[v; u] = (v)_{u_-} / (v + u)_{u_+}
+    assert all(c == gamma_coefficient(v, u) for u, c in f.terms.items())
     ok = all(r.annihilated for r in verify_annihilation(system.operators, f))
     print("annihilated by the full system:", ok)
 

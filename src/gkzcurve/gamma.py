@@ -142,6 +142,25 @@ def _gamma_terms(p: Sequence[int], q: Sequence[int], z: Sequence[int],
     return terms
 
 
+def _box_gamma_terms(A: CurveMatrix, v: Sequence[int],
+                     box: Sequence[tuple[int, Optional[int]]]) -> dict[tuple[int, ...], Fraction]:
+    """Gamma[v; x - v], keyed by x - v, for an integer v and every integer x
+    with A.x = A.v and lo_i <= x_i <= hi_i, box_i = (lo_i, hi_i) (hi_i None:
+    unbounded), a box in v + N_v where each x_i keeps one sign: lo_i >= 0 or
+    hi_i <= -1.  The walk negates the x_i with hi_i <= -1, as delta_j_set
+    its pivot, so its term-cap count is unsigned, and A.x = A.v bounds its
+    weight-A budget sum_i a_i |x_i| by A.v - 2 sum_{hi_i < 0} a_i lo_i."""
+    sign = [-1 if hi is not None and hi < 0 else 1 for _, hi in box]
+    beta = A.dot(v)
+    budget = beta - 2 * sum(a * lo for a, (lo, _), s in zip(A.entries, box, sign) if s < 0)
+    lower, upper = zip(*[(lo, hi) if s > 0 else (-hi, -lo) for s, (lo, hi) in zip(sign, box)])
+    z, runs = _lattice_runs([s * a for s, a in zip(sign, A.entries)], beta, A.entries,
+                            budget, lower, upper)
+    return _gamma_terms(v, [1] * A.n, [s * k for s, k in zip(sign, z)],
+                        [(tuple(s * y - x for s, y, x in zip(sign, ys, v)), count)
+                         for ys, count in runs])
+
+
 def gamma_series(v, system: HypergeometricSystem,
                  frontier: TruncationFrontier) -> TruncatedSeries:
     """Truncated expansion of phi_v inside the frontier.
@@ -280,18 +299,16 @@ def modified_exponent(system: HypergeometricSystem) -> Optional[tuple[int, tuple
 
 def modified_series(system: HypergeometricSystem,
                     frontier: TruncationFrontier) -> TruncatedSeries:
-    """phi_vtilde, truncated.  Killed by the Euler operator and by every
-    toric generator except the distinguished one (see ext1_generator)."""
+    """phi_vtilde, truncated, for a plane, smooth or homogenized system.
+    Killed by the Euler operator and by every toric generator except the
+    distinguished one, whose image is restriction.ext1_generator."""
     got = modified_exponent(system)
     if got is None:
         raise InvalidInputError("beta lies outside the semigroup: no modified exponent")
-    _, vt = got
-    A = system.matrix
-    if A.family == "general":
+    if system.matrix.family == "general":
         raise InvalidInputError(
-            "modified series of a general matrix lives on the homogenized system"
-        )
-    return gamma_series(vt, system, frontier)
+            "modified series of a general matrix lives on the homogenized system")
+    return gamma_series(got[1], system, frontier)
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +328,9 @@ def restrict_series_x0(f: TruncatedSeries) -> TruncatedSeries:
     if base0.denominator != 1:
         return TruncatedSeries(f.base[1:], {}, TruncationFrontier(w[1:], f.frontier.bound))
     k0 = int(base0)
-    new_bound = f.frontier.bound - w[0] * abs(k0)
-    new_frontier = TruncationFrontier(w[1:], new_bound)
-    terms = {}
-    for u, c in f.terms.items():
-        if u[0] + k0 == 0:
-            terms[u[1:]] = c
-    return TruncatedSeries(f.base[1:], terms, new_frontier, f.exact)
+    frontier = TruncationFrontier(w[1:], f.frontier.bound - w[0] * abs(k0))
+    terms = {u[1:]: c for u, c in f.terms.items() if u[0] + k0 == 0}
+    return TruncatedSeries(f.base[1:], terms, frontier, f.exact)
 
 
 def lift(A: CurveMatrix) -> tuple[CurveMatrix, Callable[[TruncatedSeries], TruncatedSeries]]:

@@ -28,24 +28,13 @@ the unique slope threshold (b/a, resp. a_n/a_{n-1}).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import InvalidInputError, ResourceLimitError
-from .gamma import (
-    _beta_in_semigroup,
-    _gamma_terms,
-    _polynomial_exponent,
-    lift,
-)
-from .lattice import (
-    CurveMatrix,
-    _lattice_runs,
-    curve_matrix,
-    term_cap,
-)
+from .gamma import _beta_in_semigroup, _box_gamma_terms, _polynomial_exponent, lift
+from .lattice import CurveMatrix, curve_matrix, term_cap
 from .rationals import as_rational, log_abs
 from .series import TruncatedSeries, TruncationFrontier
 
@@ -369,10 +358,10 @@ def polynomial_solution(A, beta) -> Optional[tuple[int, TruncatedSeries]]:
     (q, series): the base is v^q, the one singular exponent that is a
     nonnegative integer vector, and its Gamma series terminates.  The
     monomials are the x >= 0 with A.x = beta, each with coefficient
-    Gamma[v^q; x - v^q], stepped along the runs of the walk as in
-    :func:`gamma.gamma_series`.  The series is exact (complete) and can be checked
-    against the system without frontier loss.  beta is tested against the
-    semigroup of A; the polynomial is computed on lift(A) and brought down.
+    Gamma[v^q; x - v^q] from :func:`gamma._box_gamma_terms`.  The series
+    is exact (complete) and can be checked against the system without
+    frontier loss.  beta is tested against the semigroup of A; the
+    polynomial is computed on lift(A) and brought down.
     Raises ResourceLimitError for beta above the term cap, since the
     monomials fill a ball of radius beta.
     """
@@ -384,11 +373,6 @@ def polynomial_solution(A, beta) -> Optional[tuple[int, TruncatedSeries]]:
         raise ResourceLimitError(f"polynomial solution for beta = {beta} exceeds the term cap")
     A, down = lift(A)
     q, v = _polynomial_exponent(A, beta)
-    nbeta = int(beta)
-    p = [int(x) for x in v]
-    z, runs = _lattice_runs(A.entries, nbeta, A.entries, nbeta, [0] * A.n)
-    terms = _gamma_terms(p, [1] * A.n, z, [(tuple(map(operator.sub, x, p)), count)
-                                           for x, count in runs])
+    terms = _box_gamma_terms(A, [int(x) for x in v], [(0, None)] * A.n)
     span = max((sum(abs(x) for x in u) for u in terms), default=0)
-    frontier = TruncationFrontier.uniform(len(v), span)
-    return q, down(TruncatedSeries(v, terms, frontier, exact=True))
+    return q, down(TruncatedSeries(v, terms, TruncationFrontier.uniform(A.n, span), exact=True))

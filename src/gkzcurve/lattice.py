@@ -235,9 +235,10 @@ def _lattice_points(coeffs: Sequence[int], rhs: int, weight: Sequence[int], boun
     form an interval of that class.  Each leaf of the walk thus yields one
     run: a first point, a count, and the step
     z = (-c_{n-1} s / c_0, 0, ..., 0, s).  ResourceLimitError is raised
-    before the walk when the ball of coordinates 1..n-1 (over x >= 0 when
-    every lower_i >= 0 there) at radius bound // min weight, an upper bound
-    on the request, holds more points than the term cap.
+    before the walk when the ball of the coordinates among 1..n-1 that the
+    clipped bounds leave open (over x >= 0 when every lower_i >= 0 there),
+    at radius bound // their least weight, an upper bound on the request,
+    holds more points than the term cap.
     """
     z, runs = _lattice_runs(coeffs, rhs, weight, bound, lower, upper)
     return sorted(tuple(a + k * b for a, b in zip(x, z)) for x, count in runs
@@ -255,12 +256,13 @@ def _lattice_runs(coeffs: Sequence[int], rhs: int, weight: Sequence[int], bound:
     if bound < 0:
         return (0,) * len(coeffs), []
     n = len(coeffs)
-    signed = any(lo is None or lo < 0 for lo in lower[1:])
-    if _ball_count(n - 1, bound // min(weight[1:], default=1), signed) > term_cap():
-        raise ResourceLimitError("lattice enumeration exceeds the term cap")
     lo = [-(bound // w) if b is None else max(b, -(bound // w)) for b, w in zip(lower, weight)]
     hi = [bound // w if b is None else min(b, bound // w)
           for b, w in zip(upper or [None] * n, weight)]
+    open_w = [w for w, a, b in zip(weight[1:], lo[1:], hi[1:]) if a < b]
+    signed = any(b is None or b < 0 for b in lower[1:])
+    if _ball_count(len(open_w), bound // min(open_w, default=1), signed) > term_cap():
+        raise ResourceLimitError("lattice enumeration exceeds the term cap")
     c0, w0 = coeffs[0], weight[0]
     if n == 1:
         x0, r = divmod(rhs, c0)

@@ -15,8 +15,8 @@ x_0 = 0.  This module packages:
 * :func:`ext1_recurrence_solve` -- coefficientwise solution of P(h) = f at
   a germ off the origin on the singular line, plus the Gevrey envelope
   check |h_{k+am}| <= C D^m (k+am)!^{s-1} at s = b/a;
-* :func:`ext1_generator` -- the exceptional image P_{n-1}(phi_vtilde) for a
-  smooth matrix, in closed form (an exact finite sum).
+* :func:`ext1_generator` -- the Ext^1 witness P(phi_vtilde) of a plane,
+  smooth or homogenized matrix: P on the finite slab of phi_vtilde.
 """
 
 from __future__ import annotations
@@ -27,17 +27,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
-from .gamma import gamma_coefficient
+from .gamma import _box_gamma_terms, _exponent_axes, lift, modified_exponent
 from .lattice import (
     CurveMatrix,
-    _lattice_points,
     curve_matrix,
     homogenize_matrix,
     minimal_delta,
     term_cap,
 )
 from .rationals import as_rational, falling_product, format_rational
-from .series import TruncatedSeries, TruncationFrontier
+from .series import TruncatedSeries, TruncationFrontier, WeylOperator, apply_operator
 from .system import HypergeometricSystem, build_system
 
 
@@ -65,13 +64,8 @@ def homogenize(A, beta) -> Homogenization:
     """Homogenize a general matrix and assemble the A'-system for beta."""
     A = curve_matrix(A)
     Ah = homogenize_matrix(A)
-    system = build_system(Ah, beta)
-    data = [minimal_delta(A, i) for i in range(A.n)]
-    return Homogenization(
-        Ah, system,
-        tuple(d for d, _ in data),
-        tuple(r for _, r in data),
-    )
+    deltas, rhos = zip(*(minimal_delta(A, i) for i in range(A.n)))
+    return Homogenization(Ah, build_system(Ah, beta), deltas, rhos)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +189,14 @@ def restrict_decomposition(Aprime, beta) -> RestrictionDecomposition:
 # Ext^1 recurrence at a germ on the singular line
 
 
+def _plane_entries(A) -> tuple[int, int]:
+    """(a, b) of a plane matrix; InvalidInputError for any other matrix."""
+    A = curve_matrix(A)
+    if A.family != "plane":
+        raise InvalidInputError("the recurrence is stated for plane matrices")
+    return A.entries
+
+
 def ext1_recurrence_solve(A, epsilon, beta, f_coeffs, h_init=None,
                           num_terms: int = 40) -> dict:
     """Solve P(h) = f coefficientwise at a germ off the origin.
@@ -208,16 +210,13 @@ def ext1_recurrence_solve(A, epsilon, beta, f_coeffs, h_init=None,
     one chain per residue k = 0..a-1, where (z)_r is the 1-d falling
     factorial.  ``f_coeffs`` and the optional ``h_init`` map (k, m) to
     rationals; missing f entries are 0 and missing initial values h_{k}
-    (i.e. (k, 0)) default to 0.  Returns {(k, m): h_{k+am}} for
-    m = 0..num_terms, and raises ResourceLimitError when those a (num_terms
-    + 1) entries exceed the term cap.
+    (i.e. (k, 0)) default to 0; k must lie in 0..a-1.  Returns
+    {(k, m): h_{k+am}} for m = 0..num_terms, and raises ResourceLimitError
+    when those a (num_terms + 1) entries exceed the term cap.
     """
-    A = curve_matrix(A)
-    if A.family != "plane":
-        raise InvalidInputError("the recurrence is stated for plane matrices")
+    a, b = _plane_entries(A)
     if num_terms < 0:
         raise InvalidInputError("the number of terms must be nonnegative")
-    a, b = A.entries
     if a * (num_terms + 1) > term_cap():
         raise ResourceLimitError(f"{a * (num_terms + 1)} recurrence entries exceed the term cap")
     epsilon = as_rational(epsilon)
@@ -229,6 +228,8 @@ def ext1_recurrence_solve(A, epsilon, beta, f_coeffs, h_init=None,
         if not (0 <= k < a) or m < 0:
             raise InvalidInputError(f"f index {(k, m)} out of range")
     init = {int(k): as_rational(c) for k, c in (h_init or {}).items()}
+    if any(not 0 <= k < a for k in init):
+        raise InvalidInputError(f"h_init keys {sorted(init)} leave 0..{a - 1}")
     h: dict[tuple[int, int], Fraction] = {}
     for k in range(a):
         h[(k, 0)] = init.get(k, Fraction(0))
@@ -244,7 +245,8 @@ def ext1_recurrence_solve(A, epsilon, beta, f_coeffs, h_init=None,
 
 def recurrence_series(A, beta, table, shift: int = 0,
                       bound: int = 40) -> list[TruncatedSeries]:
-    """Assemble a coefficient table {(k, m): c} into two-variable series.
+    """Assemble a coefficient table {(k, m): c} of a plane matrix (a b)
+    into two-variable series.
 
     Entry (k, m) contributes  c * x_1^{(beta-bk)/a - b(m+shift)} x_2^{k+am}.
     With shift=0 this reconstructs h from :func:`ext1_recurrence_solve`;
@@ -252,8 +254,7 @@ def recurrence_series(A, beta, table, shift: int = 0,
     Chains with different k have incommensurable base exponents, so one
     series per residue k is returned, in increasing order of k.
     """
-    A = curve_matrix(A)
-    a, b = A.entries
+    a, b = _plane_entries(A)
     beta = as_rational(beta)
     frontier = TruncationFrontier.uniform(2, bound)
     per_k: dict[int, dict] = {}
@@ -283,44 +284,42 @@ def gevrey_envelope_fit(values: Sequence[float]) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Ext^1 generator for the smooth family
+# Ext^1 generator
 
 
 def ext1_generator(A, beta) -> TruncatedSeries:
-    """The exceptional image P_{n-1}(phi_vtilde) for a smooth matrix.
+    """P(phi_vtilde), the Ext^1 witness of a plane, smooth or homogenized
+    matrix for beta in N A, as an exact series.
 
-    With beta a nonnegative integer, the image is the exact finite sum
-
-        sum_{m in Mtilde}  (beta + a_{n-1})!
-            / ( m_2! .. m_{n-2}! m_n! e_1(m)! )
-            * x_1^{e_1(m)} x_2^{m_2} .. x_{n-1}^{-1} x_n^{m_n},
-
-    where e_1(m) = beta - sum_{i != n-1} a_i m_i and Mtilde collects the
-    finitely many m with e_1(m) >= 0.  The coefficient of x^w is
-    Gamma[vtilde; w - vtilde] for the modified exponent
-    vtilde = (beta + a_{n-1}, 0, ..., 0, -1, 0).  It represents a nonzero
-    Ext^1 class: phi_vtilde is killed by the Euler operator and by every
-    other toric generator, but not by P_{n-1}.  (Cross-checked in the test
-    suite against applying P_{n-1} to the truncated modified series.)
+    P is the toric generator box_{+-step} (the one of column n - 2 if n > 2)
+    for the step a_solved e_free - a_free e_solved of modified_exponent.
+    Its monomials d^{step_+} and d^{step_-} send the terms of phi_vtilde at
+    x and at x - step to one monomial, where the two cancel by the Gamma
+    recurrence if both lie in N_vtilde: x_solved <= -1, x_i >= 0 otherwise.
+    As step raises x_free, x - step in N_vtilde implies x in N_vtilde.  So
+    the image is +-d_free^{a_solved} on the finite slab -a_free <= x_solved
+    <= -1 of N_vtilde (it sends the x with x_free < a_solved to 0): vtilde
+    alone for (a b); for a smooth matrix, the sum over m with e_1 = beta -
+    sum_{i != n-1} a_i m_i >= 0 of (beta + a_{n-1})! / (e_1! prod m_i!)
+    x_1^{e_1} x^m / x_{n-1} (1-based).  The base is vtilde with x_free set
+    to 0, and the frontier reaches one past the largest offset.
     """
     A = curve_matrix(A)
-    if A.family not in ("smooth", "homogenized"):
-        raise InvalidInputError("ext1_generator expects a smooth matrix")
-    beta = as_rational(beta)
-    if beta.denominator != 1 or beta < 0:
-        raise InvalidInputError("beta must be a nonnegative integer here")
-    nbeta = int(beta)
-    ent = A.entries
-    n = len(ent)
-    base = [0] * n
-    base[n - 2] = -1
-    vtilde = list(base)
-    vtilde[0] = nbeta + ent[n - 2]
-    kept = ent[:n - 2] + ent[n - 1:]
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for m in _lattice_points(kept, nbeta, kept, nbeta, [0] * (n - 1)):
-        u = m[:n - 2] + (0,) + m[n - 2:]  # column n-2 held at 0
-        terms[u] = gamma_coefficient(vtilde, [b + x - t for b, x, t in zip(base, u, vtilde)])
-    span = max(sum(abs(x) for x in u) for u in terms) + 1
-    frontier = TruncationFrontier.uniform(n, span)
-    return TruncatedSeries(tuple(Fraction(x) for x in base), terms, frontier, exact=True)
+    if lift(A)[0] is not A:
+        raise InvalidInputError("the Ext^1 generator of a general matrix lives on its homogenization")
+    system = build_system(A, beta)
+    got = modified_exponent(system)
+    if got is None:
+        raise InvalidInputError("beta lies outside the semigroup: no modified exponent")
+    ent, free, solved = _exponent_axes(A, "singular")
+    vt, n = [int(x) for x in got[1]], A.n
+    box = [(0, None)] * n
+    box[solved] = (-ent[free], -1)
+    base = vt[:free] + [0] + vt[free + 1:]
+    rebased = {u[:free] + (u[free] + vt[free],) + u[free + 1:]: c
+               for u, c in _box_gamma_terms(A, vt, box).items()}
+    slab = TruncatedSeries(base, rebased, TruncationFrontier.uniform(n, 0), exact=True)
+    P = system.toric[n - 3]  # toric[-1], the only one, for a plane matrix
+    image = apply_operator(WeylOperator(n, [t for t in P.terms if t[2][free]]), slab).terms
+    span = max(sum(map(abs, u)) for u in image) + 1
+    return TruncatedSeries(base, image, TruncationFrontier.uniform(n, span), exact=True)

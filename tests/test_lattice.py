@@ -363,6 +363,16 @@ def test_term_cap_counts_the_request_not_the_output(monkeypatch):
     # over x >= 0 the smaller ball is counted, C(6 + 3, 3)
     monkeypatch.setenv("GKZ_TERM_CAP", str(_ball_count(3, 6, False)))
     assert _lattice_points(coeffs, 6, weight, 6, [0] * 4)
+    # a coordinate that its bounds pin to one value adds nothing to the
+    # request: with x_2 = 2 the open ball of x_1, x_3 holds C(6 + 2, 2) points
+    pinned = ([0, 0, 2, 0], [None, None, 2, None])
+    monkeypatch.setenv("GKZ_TERM_CAP", str(_ball_count(2, 6, False)))
+    assert _lattice_points(coeffs, 6, weight, 6, *pinned) == \
+        sorted((4 - a - b, a, 2, b) for a in range(5) for b in range(5 - a))
+    monkeypatch.setenv("GKZ_TERM_CAP", str(_ball_count(2, 6, False) - 1))
+    with pytest.raises(ResourceLimitError):
+        _lattice_points(coeffs, 6, weight, 6, *pinned)
+    monkeypatch.setenv("GKZ_TERM_CAP", str(_ball_count(3, 6, False)))
     # upper bounds clip the output but not the request: x_1, x_2, x_3 <= 0
     # mirrors the x >= 0 walk above, yet the signed ball is counted
     with pytest.raises(ResourceLimitError):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkzcurve.errors import InvalidInputError
 from gkzcurve.gamma import gamma_series, lift, modified_series, singular_exponents
@@ -146,6 +147,20 @@ def test_recurrence_validation():
         ext1_recurrence_solve(A, 1, 1, {}, num_terms=-3)
 
 
+def test_recurrence_series_rejects_non_plane_matrix():
+    with pytest.raises(InvalidInputError, match="plane"):
+        recurrence_series((1, 2, 5), 1, {(0, 0): 1})
+
+
+def test_recurrence_rejects_initial_values_off_the_residues():
+    A = curve_matrix((2, 3))
+    for h_init in ({5: 1, -1: 2}, {2: 1}, {-1: 1}):
+        with pytest.raises(InvalidInputError, match="h_init"):
+            ext1_recurrence_solve(A, 1, 1, {}, h_init=h_init)
+    h = ext1_recurrence_solve(A, 1, 1, {}, h_init={0: 1, 1: 2}, num_terms=1)
+    assert (h[(0, 0)], h[(1, 0)]) == (1, 2)
+
+
 @pytest.mark.parametrize(
     "f_table,h_init",
     [
@@ -203,35 +218,41 @@ def test_recurrence_gevrey_envelope():
 
 @pytest.mark.parametrize(
     "entries,beta",
-    [((1, 2, 5), 0), ((1, 2, 5), 3), ((1, 2, 3), 4), ((1, 3, 4, 5), 2), ((1, 3, 7), 5)],
+    [((1, 2, 5), 0), ((1, 2, 5), 3), ((1, 2, 3), 4), ((1, 3, 4, 5), 2), ((1, 3, 7), 5),
+     ((2, 3), 2), ((2, 3), 5), ((2, 3), 6), ((3, 5), 8), ((3, 7), 13), ((5, 7), 24)],
 )
 def test_ext1_generator_matches_operator_application(entries, beta):
     system = build_system(entries, beta)
     n = len(entries)
-    fr = TruncationFrontier.uniform(n, 50)
-    phi = modified_series(system, fr)
-    # all generators except the distinguished one kill phi_vtilde
+    # all generators except the distinguished one kill phi_vtilde; for a
+    # plane matrix toric[n - 3] is toric[-1], its only binomial
     distinguished = system.toric[n - 3]
-    for op in system.operators:
-        img = apply_operator(op, phi)
-        if op is distinguished:
-            assert not img.is_zero()
-        else:
-            assert img.is_zero()
     closed = ext1_generator(entries, beta)
-    img = apply_operator(distinguished, phi)
-    by_exponent = {
-        tuple(b + x for b, x in zip(img.base, u)): c for u, c in img.terms.items()
-    }
     closed_by_exponent = {
         tuple(b + x for b, x in zip(closed.base, u)): c
         for u, c in closed.terms.items()
     }
-    assert by_exponent == closed_by_exponent
-    # the image sits in x_{n-1}^{-1} C[x_1, .., x_{n-2}, x_n]
+    for bound in (40, 60):  # the image is finite: the same at both bounds
+        phi = modified_series(system, TruncationFrontier.uniform(n, bound))
+        for op in system.operators:
+            img = apply_operator(op, phi)
+            if op is distinguished:
+                assert not img.is_zero()
+            else:
+                assert img.is_zero()
+        img = apply_operator(distinguished, phi)
+        by_exponent = {
+            tuple(b + x for b, x in zip(img.base, u)): c for u, c in img.terms.items()
+        }
+        assert by_exponent == closed_by_exponent, bound
+    # the image sits on the slab -a_free <= x_solved <= -1: x_{n-1}^{-1}
+    # C[x_1, .., x_{n-2}, x_n] for a smooth matrix, one monomial for (a b)
+    solved, low = (0, -entries[1]) if n == 2 else (n - 2, -1)
     for exp in closed_by_exponent:
-        assert exp[n - 2] == -1
-        assert all(e >= 0 and e.denominator == 1 for i, e in enumerate(exp) if i != n - 2)
+        assert low <= exp[solved] <= -1
+        assert all(e >= 0 and e.denominator == 1 for i, e in enumerate(exp) if i != solved)
+    if n == 2:
+        assert len(closed.terms) == 1
 
 
 def ext1_factorial_terms(entries, beta):
@@ -272,6 +293,38 @@ def test_ext1_generator_matches_factorial_formula(entries):
         assert gen.terms == ext1_factorial_terms(entries, beta)
 
 
+@st.composite
+def smooth_ext1_requests(draw):
+    n = draw(st.integers(3, 5))
+    rest = draw(st.lists(st.integers(2, 12), min_size=n - 1, max_size=n - 1, unique=True))
+    return (1, *sorted(rest)), draw(st.integers(0, 15))
+
+
+@settings(max_examples=60, deadline=None)
+@given(smooth_ext1_requests())
+def test_ext1_generator_matches_factorial_formula_on_a_grid(request):
+    entries, beta = request
+    gen = ext1_generator(entries, beta)
+    assert gen.exact
+    assert gen.base == tuple(F(-(i == len(entries) - 2)) for i in range(len(entries)))
+    assert gen.terms == ext1_factorial_terms(entries, beta)
+
+
+def test_ext1_generator_seven_columns():
+    entries = (1, 2, 3, 4, 5, 6, 7)
+    gen = ext1_generator(entries, 30)
+    assert len(gen.terms) == 1091
+    assert gen.terms == ext1_factorial_terms(entries, 30)
+
+
+def test_ext1_generator_large_beta():
+    # the slab pins x_{n-1} = -1, so the walk's request is the 1-d ball of
+    # x_3 at radius (beta + 4) // 5, far below the term cap
+    gen = ext1_generator((1, 2, 5), 10**4)
+    assert len(gen.terms) == 10**4 // 5 + 1
+    assert gen.terms[(10**4, 0, 0)] == (10**4 + 2) * (10**4 + 1)
+
+
 def test_ext1_generator_single_monomial_case():
     gen = ext1_generator((1, 2, 5), 0)
     assert gen.exact
@@ -279,7 +332,12 @@ def test_ext1_generator_single_monomial_case():
 
 
 def test_ext1_generator_validation():
-    with pytest.raises(InvalidInputError):
-        ext1_generator((2, 3), 2)
-    with pytest.raises(InvalidInputError):
-        ext1_generator((1, 2, 5), F(1, 2))
+    with pytest.raises(InvalidInputError, match="outside the semigroup"):
+        ext1_generator((2, 3), 1)  # 1 is not in N(2 3)
+    for entries in ((2, 3), (1, 2, 5)):
+        with pytest.raises(InvalidInputError, match="outside the semigroup"):
+            ext1_generator(entries, F(1, 2))
+        with pytest.raises(InvalidInputError, match="outside the semigroup"):
+            ext1_generator(entries, -2)
+    with pytest.raises(InvalidInputError, match="general matrix"):
+        ext1_generator((3, 4, 5), 3)
