@@ -67,10 +67,13 @@ def main():
     print("  residual term counts per operator:",
           [len(r.terms) for r in residuals])
 
-    gen = ext1_generator(curve_matrix((1, 2, 3)), 4)
-    print("\nclosed-form Ext^1 generator for A = (1 2 3), beta = 4:")
-    for u, c in gen.sorted_terms():
-        print(f"  offset {u}: {c}")
+    for entries in ((2, 3), (1, 2, 3)):
+        A = curve_matrix(entries)
+        gen = ext1_generator(A, 4)
+        print(f"\nExt^1 generator P(phi_vtilde) for A = {A}, beta = 4 "
+              f"(base {tuple(str(x) for x in gen.base)}):")
+        for u, c in gen.sorted_terms():
+            print(f"  offset {u}: {c}")
 
     h = ext1_recurrence_solve((2, 3), 1, 1, {(0, 0): Fraction(1)}, num_terms=8)
     print("\nrecurrence solution of P(h) = f for f = x_1^(1/2 - 3) "

@@ -165,7 +165,7 @@ def gamma_series(v, system: HypergeometricSystem,
                  frontier: TruncationFrontier) -> TruncatedSeries:
     """Truncated expansion of phi_v inside the frontier.
 
-    Complete: every u in N_v with weighted norm <= frontier.bound appears.
+    Complete: every u in N_v with sum_i |u_i| <= frontier.bound appears.
     N_v is the box u_i >= -v_i for integer v_i >= 0, u_i <= -v_i - 1 for
     integer v_i < 0, which the enumerator walks; no coefficient there is 0.
 
@@ -185,12 +185,12 @@ def gamma_series(v, system: HypergeometricSystem,
         raise InvalidInputError("exponent dimension mismatch")
     if A.dot(v) != system.beta:
         raise InvalidInputError(f"A.v = {A.dot(v)} differs from beta = {system.beta}")
-    if len(frontier.weight) != A.n:
+    if frontier.n != A.n:
         raise InvalidInputError("frontier dimension mismatch")
     p, q = [x.numerator for x in v], [x.denominator for x in v]
     lower = [-a if b == 1 and a >= 0 else None for a, b in zip(p, q)]
     upper = [-a - 1 if b == 1 and a < 0 else None for a, b in zip(p, q)]
-    terms = _gamma_terms(p, q, *_lattice_runs(A.entries, 0, frontier.weight, frontier.bound,
+    terms = _gamma_terms(p, q, *_lattice_runs(A.entries, 0, (1,) * A.n, frontier.bound,
                                               lower, upper))
     return TruncatedSeries(v, terms, frontier)
 
@@ -320,15 +320,14 @@ def restrict_series_x0(f: TruncatedSeries) -> TruncatedSeries:
 
     For a Gamma series of a homogenized matrix (integer base exponent in
     coordinate 0) this realizes the restriction to x_0 = 0.  The returned
-    frontier bound shrinks by the weighted cost of the forced offset in
+    frontier bound shrinks by |k0|, the cost of the forced offset -k0 in
     coordinate 0, which keeps the truncation complete.
     """
-    base0 = f.base[0]
-    w = f.frontier.weight
+    base0, n = f.base[0], f.n - 1
     if base0.denominator != 1:
-        return TruncatedSeries(f.base[1:], {}, TruncationFrontier(w[1:], f.frontier.bound))
+        return TruncatedSeries(f.base[1:], {}, TruncationFrontier(n, f.frontier.bound))
     k0 = int(base0)
-    frontier = TruncationFrontier(w[1:], f.frontier.bound - w[0] * abs(k0))
+    frontier = TruncationFrontier(n, f.frontier.bound - abs(k0))
     terms = {u[1:]: c for u, c in f.terms.items() if u[0] + k0 == 0}
     return TruncatedSeries(f.base[1:], terms, frontier, f.exact)
 

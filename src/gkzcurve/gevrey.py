@@ -82,8 +82,8 @@ def gevrey_index_estimate(f: TruncatedSeries, var: int, min_terms: int = 8,
     Reads the coefficients c_m on the diagonal u = u_0 + m z, m >= 0, where
     z is the primitive kernel direction of :func:`_diagonal_direction` for
     ``matrix`` (required unless f is exact) and u_0 is the kept offset of
-    least weighted norm, ties broken lexicographically (0 for a Gamma
-    series, where Gamma[v; 0] = 1, and 0 when f has no terms), and fits
+    least L1 norm, ties broken lexicographically (0 for a Gamma series,
+    where Gamma[v; 0] = 1, and 0 when f has no terms), and fits
 
         ln|c_m|  ~  alpha * d ln d  +  gamma * d  +  delta * ln d  +  mu,
         d = x_var-degree of the m-th diagonal term,
@@ -91,20 +91,23 @@ def gevrey_index_estimate(f: TruncatedSeries, var: int, min_terms: int = 8,
     after discarding the first 20% of the terms as burn-in.  The nuisance
     regressors soak up the Stirling corrections, leaving s - 1 in alpha.
     Returns {'estimate': 1 + alpha, 'stderr': ..., 'diagonal': ...}, and
-    raises InvalidInputError when the points left cannot determine the fit.
+    raises InvalidInputError when min_terms is negative or the points left
+    cannot determine the fit.
     Exact (complete) series are polynomials and get index 1 by convention.
     """
     if not 0 <= var < f.n:
         raise InvalidInputError("variable index out of range")
+    if min_terms < 0:
+        raise InvalidInputError("min_terms must be nonnegative")
     if f.exact:
         return {"estimate": 1.0, "stderr": 0.0,
                 "diagonal": "finite series (polynomial): index 1 by convention"}
     if matrix is None:
         raise InvalidInputError("pass matrix= to choose the growth diagonal")
     z = _diagonal_direction(curve_matrix(matrix), var)
-    w, zero = f.frontier.weight, (0,) * f.n
+    zero = (0,) * f.n
     start = zero if zero in f.terms else min(
-        f.terms, key=lambda u: (sum(wi * abs(x) for wi, x in zip(w, u)), u), default=zero)
+        f.terms, key=lambda u: (sum(map(abs, u)), u), default=zero)
 
     points: list[tuple[float, float]] = []  # (degree, ln|c|)
     m = 0

@@ -7,9 +7,9 @@ need two pieces of integer data from it:
 
 * membership in the numerical semigroup N a_1 + ... + N a_n, with witnesses,
 * enumeration of the integer points of an affine hyperplane inside a
-  weighted L1 ball: the kernel points of the "frontier" that truncates
-  every series in the package, and the finite sets indexing polynomial
-  solutions, Delta_j and the Ext^1 generator.
+  weighted L1 ball: the kernel points of the "frontier" (the unweighted
+  ball) that truncates every series in the package, and the finite sets
+  indexing polynomial solutions, Delta_j and the Ext^1 generator.
 
 Every matrix has at least two positive, strictly increasing entries of
 gcd 1.  Its family tag follows from the entries:
@@ -321,16 +321,13 @@ def _lattice_runs(coeffs: Sequence[int], rhs: int, weight: Sequence[int], bound:
     return step, runs
 
 
-def enumerate_offsets(A: CurveMatrix, frontier, lower: Optional[Sequence] = None,
-                      upper: Optional[Sequence] = None) -> list[tuple[int, ...]]:
-    """All u in L_A with sum_i weight_i |u_i| <= frontier.bound and
-    lower_i <= u_i <= upper_i (None: no bound), sorted, from
+def enumerate_offsets(A: CurveMatrix, frontier) -> list[tuple[int, ...]]:
+    """All u in L_A with sum_i |u_i| <= frontier.bound, sorted, from
     :func:`_lattice_points` (which raises ResourceLimitError past the cap).
     """
-    if len(frontier.weight) != A.n:
+    if frontier.n != A.n:
         raise InvalidInputError("frontier dimension mismatch")
-    return _lattice_points(A.entries, 0, frontier.weight, frontier.bound,
-                           lower or (None,) * A.n, upper)
+    return _lattice_points(A.entries, 0, (1,) * A.n, frontier.bound, (None,) * A.n)
 
 
 def delta_j_set(Aprime: CurveMatrix, j: int, degree_bound: int) -> list[tuple[int, ...]]:

@@ -5,7 +5,7 @@ A :class:`TruncatedSeries` represents
     f = x^base * sum_u  c_u x^u,      c_u exact rationals,
 
 where ``base`` is a fixed rational exponent vector and the offsets u are
-integer vectors confined to a weighted L1 ball, the
+integer vectors confined to the L1 ball { u : sum_i |u_i| <= bound }, the
 :class:`TruncationFrontier`.  Applying an operator shrinks the frontier by
 the operator's maximal monomial shift, so every coefficient inside the
 shrunk frontier is exact: it equals the corresponding coefficient of the
@@ -40,32 +40,28 @@ DEFAULT_BOUND = 40
 
 @dataclass(frozen=True)
 class TruncationFrontier:
-    """Weighted L1 ball { u : sum_i weight_i |u_i| <= bound } for offsets."""
+    """L1 ball { u in Z^n : sum_i |u_i| <= bound } for offsets.  Its JSON
+    form lists a weight of all ones, the layout of every stored series."""
 
-    weight: tuple[int, ...]
+    n: int
     bound: int
 
     def __post_init__(self):
-        if any(w <= 0 for w in self.weight):
-            raise InvalidInputError("frontier weights must be positive")
+        if not isinstance(self.bound, int) or isinstance(self.bound, bool):
+            raise InvalidInputError("frontier bound must be an integer")
 
     @classmethod
     def uniform(cls, n: int, bound: int = DEFAULT_BOUND) -> "TruncationFrontier":
-        return cls((1,) * n, bound)
+        return cls(n, bound)
 
     def contains(self, offset: Sequence[int]) -> bool:
-        return sum(w * abs(u) for w, u in zip(self.weight, offset)) <= self.bound
+        return sum(map(abs, offset)) <= self.bound
 
     def shrink(self, amount: int) -> "TruncationFrontier":
-        return TruncationFrontier(self.weight, self.bound - amount)
-
-    def meet(self, other: "TruncationFrontier") -> "TruncationFrontier":
-        if self.weight != other.weight:
-            raise InvalidInputError("cannot intersect frontiers with different weights")
-        return TruncationFrontier(self.weight, min(self.bound, other.bound))
+        return TruncationFrontier(self.n, self.bound - amount)
 
     def to_json(self) -> dict:
-        return {"weight": list(self.weight), "bound": self.bound}
+        return {"weight": [1] * self.n, "bound": self.bound}
 
 
 class TruncatedSeries:
@@ -76,7 +72,7 @@ class TruncatedSeries:
     def __init__(self, base, terms: Mapping, frontier: TruncationFrontier,
                  exact: bool = False):
         base = as_rational_vector(base)
-        n, weight, bound = len(base), frontier.weight, frontier.bound
+        n, bound = len(base), frontier.bound
         clean: dict[tuple[int, ...], Fraction] = {}
         for off, c in terms.items():
             c = as_rational(c)
@@ -85,7 +81,7 @@ class TruncatedSeries:
             off = tuple(map(int, off))
             if len(off) != n:
                 raise InvalidInputError("offset dimension mismatch")
-            if not exact and sum(map(operator.mul, weight, map(abs, off))) > bound:
+            if not exact and sum(map(abs, off)) > bound:
                 raise InvalidInputError(f"offset {off} lies outside the frontier")
             clean[off] = c
         self.base = base
@@ -124,13 +120,12 @@ class TruncatedSeries:
 
 
 def series_equal(f: TruncatedSeries, g: TruncatedSeries) -> bool:
-    """Equality of base and of all coefficients on the common frontier."""
+    """Equality of base and of all coefficients on the smaller frontier."""
     if f.base != g.base:
         return False
-    common = f.frontier.meet(g.frontier)
-    offsets = set(f.terms) | set(g.terms)
-    for u in offsets:
-        if not (f.exact and g.exact) and not common.contains(u):
+    bound = min(f.frontier.bound, g.frontier.bound)
+    for u in set(f.terms) | set(g.terms):
+        if not (f.exact and g.exact) and sum(map(abs, u)) > bound:
             continue
         if f.coefficient(u) != g.coefficient(u):
             return False
@@ -192,14 +187,10 @@ class WeylOperator:
     def __hash__(self):
         return hash(self.terms)
 
-    def max_shift(self, weight: Sequence[int]) -> int:
-        """Largest weighted monomial shift sum_j w_j |p_j - q_j| over terms."""
-        if not self.terms:
-            return 0
-        return max(
-            sum(w * abs(pi - qi) for w, pi, qi in zip(weight, p, q))
-            for _, p, q in self.terms
-        )
+    def max_shift(self) -> int:
+        """Largest monomial shift sum_j |p_j - q_j| over terms."""
+        return max((sum(map(abs, map(operator.sub, p, q))) for _, p, q in self.terms),
+                   default=0)
 
     def to_json(self) -> list:
         return [
@@ -233,14 +224,14 @@ def apply_operator(op: WeylOperator, f: TruncatedSeries) -> TruncatedSeries:
     if op.n != f.n:
         raise InvalidInputError("operator/series dimension mismatch")
     exact = f.exact
-    new_frontier = f.frontier if exact else f.frontier.shrink(op.max_shift(f.frontier.weight))
+    new_frontier = f.frontier if exact else f.frontier.shrink(op.max_shift())
     bp, bq = [b.numerator for b in f.base], [b.denominator for b in f.base]
     groups: dict[tuple[int, ...], list] = {}
     for c_op, p, q in op.terms:
         groups.setdefault(tuple(map(operator.sub, p, q)), []).append(
             (c_op / math.prod(map(pow, bq, q)), [(i, qi) for i, qi in enumerate(q) if qi]))
     source = [(u, c.numerator, c.denominator) for u, c in f.terms.items()]
-    weight, bound = new_frontier.weight, new_frontier.bound
+    bound = new_frontier.bound
     acc: dict[tuple[int, ...], tuple[int, int]] = {}
     for shift, terms in groups.items():
         den = math.lcm(*(k.denominator for k, _ in terms))
@@ -249,7 +240,7 @@ def apply_operator(op: WeylOperator, f: TruncatedSeries) -> TruncatedSeries:
                  for k, nz in terms]
         for u, num, cden in source:
             newu = tuple(map(operator.add, u, shift))
-            if not exact and sum(map(operator.mul, weight, map(abs, newu))) > bound:
+            if not exact and sum(map(abs, newu)) > bound:
                 continue
             s = 0
             for k, nz in terms:
@@ -292,11 +283,7 @@ def verify_annihilation(ops: Iterable[WeylOperator],
     reports = []
     for op in ops:
         g = apply_operator(op, f)
-        if g.terms:
-            w = g.frontier.weight
-            worst = max(g.terms, key=lambda u: (sum(wi * abs(x) for wi, x in zip(w, u)), u))
-        else:
-            worst = None
+        worst = max(g.terms, key=lambda u: (sum(map(abs, u)), u), default=None)
         reports.append(AnnihilationReport(op, len(g.terms), worst, g.frontier.bound))
     return reports
 

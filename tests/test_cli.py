@@ -71,6 +71,13 @@ def test_gevrey_index(capsys):
     assert abs(data["estimate"] - 1.5) < 0.05
 
 
+def test_gevrey_index_rejects_negative_min_terms(capsys):
+    argv = ("gevrey-index", "-A", "2,3", "-b", "1", "--var", "1", "--min-terms")
+    assert run_json(capsys, *argv, "0")["estimate"] > 1
+    code, out, err = run(capsys, *argv, "-5")
+    assert code == 2 and out == "" and "min_terms must be nonnegative" in err
+
+
 def test_slopes_and_dims(capsys):
     data = run_json(capsys, "slopes", "-A", "1,2,5")
     assert data["slopes"][-1] == {

@@ -344,10 +344,8 @@ def series_requests(draw):
                                            ((1, 2, 5), 12), ((1, 3, 7), 12),
                                            ((1, 2, 3, 5), 7)]))
     v = tuple(draw(st.lists(EXPONENT_ENTRIES, min_size=len(entries), max_size=len(entries))))
-    weight = tuple(draw(st.lists(st.integers(1, 3), min_size=len(entries),
-                                 max_size=len(entries))))
     beta = sum(a * x for a, x in zip(entries, v))
-    return build_system(entries, beta), v, TruncationFrontier(weight, bound)
+    return build_system(entries, beta), v, TruncationFrontier.uniform(len(entries), bound)
 
 
 @settings(max_examples=60, deadline=None)

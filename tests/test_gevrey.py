@@ -212,6 +212,13 @@ def test_gevrey_estimate_insufficient_terms():
         gevrey_index_estimate(f, 1, min_terms=0, matrix=system.matrix)
 
 
+def test_gevrey_estimate_rejects_negative_min_terms():
+    f, system = singular_series((2, 3), 1, 1, 160)
+    assert gevrey_index_estimate(f, 1, min_terms=0, matrix=system.matrix)["estimate"] > 1
+    with pytest.raises(InvalidInputError, match="min_terms"):
+        gevrey_index_estimate(f, 1, min_terms=-5, matrix=system.matrix)
+
+
 # ---------------------------------------------------------------------------
 # slopes
 

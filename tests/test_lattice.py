@@ -252,14 +252,6 @@ def test_enumerate_offsets_complete(entries, bound):
     assert (0,) * A.n in got
 
 
-def test_enumerate_offsets_weighted():
-    A = curve_matrix((2, 3))
-    frontier = TruncationFrontier((2, 1), 10)
-    got = enumerate_offsets(A, frontier)
-    # multiples m(3,-2) with 2*3|m| + 2|m| = 8|m| <= 10
-    assert got == [(-3, 2), (0, 0), (3, -2)]
-
-
 def test_enumerate_offsets_cap(monkeypatch):
     monkeypatch.setenv("GKZ_TERM_CAP", "3")
     A = curve_matrix((2, 3))

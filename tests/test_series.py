@@ -22,11 +22,16 @@ def frontier2(bound=10):
 
 
 def test_frontier_membership_and_shrink():
-    fr = TruncationFrontier((2, 1), 7)
-    assert fr.contains((1, 5)) and not fr.contains((2, 4))
-    assert fr.shrink(3).bound == 4
-    with pytest.raises(InvalidInputError):
-        TruncationFrontier((0, 1), 5)
+    fr = TruncationFrontier.uniform(2, 7)
+    assert fr.contains((2, -5)) and not fr.contains((-3, 5))
+    assert fr.shrink(3) == TruncationFrontier(2, 4)
+    assert fr.to_json() == {"weight": [1, 1], "bound": 7}
+
+
+@pytest.mark.parametrize("bound", [2.5, "3", None, True])
+def test_frontier_bound_must_be_an_integer(bound):
+    with pytest.raises(InvalidInputError, match="integer"):
+        TruncationFrontier.uniform(2, bound)
 
 
 def test_series_normalization():
@@ -127,7 +132,7 @@ def apply_operator_termwise(op, f):
     if f.exact:
         new_frontier, exact = f.frontier, True
     else:
-        new_frontier, exact = f.frontier.shrink(op.max_shift(f.frontier.weight)), False
+        new_frontier, exact = f.frontier.shrink(op.max_shift()), False
     acc = {}
     for c_op, p, q in op.terms:
         for u, c in f.terms.items():
