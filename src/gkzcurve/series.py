@@ -36,6 +36,7 @@ from .rationals import (
 )
 
 DEFAULT_BOUND = 40
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,8 @@ class TruncatedSeries:
                  exact: bool = False):
         base = as_rational_vector(base)
         n, bound = len(base), frontier.bound
+        if frontier.n != n:
+            raise InvalidInputError("frontier/base dimension mismatch")
         clean: dict[tuple[int, ...], Fraction] = {}
         for off, c in terms.items():
             c = as_rational(c)
@@ -162,12 +165,18 @@ class WeylOperator:
 
     @classmethod
     def from_lattice(cls, u: Sequence[int]) -> "WeylOperator":
-        """Toric binomial  box_u = d^{u_+} - d^{u_-}  for u in ker A."""
-        n = len(tuple(u))
-        plus = tuple(max(x, 0) for x in u)
-        minus = tuple(max(-x, 0) for x in u)
-        z = (0,) * n
-        return cls(n, [(1, z, plus), (-1, z, minus)])
+        """Toric binomial  box_u = d^{u_+} - d^{u_-}  for u in ker A (entries
+        coerced by ``int``) in normal form: the terms (Fraction(1), 0, u_+) and
+        (Fraction(-1), 0, u_-), smaller d-exponent first; u = 0 gives terms ()."""
+        u = tuple(map(int, u))
+        plus = tuple([x if x > 0 else 0 for x in u])
+        minus = tuple([p - x for p, x in zip(plus, u)])
+        op = cls.__new__(cls)
+        op.n, z = len(u), (0,) * len(u)
+        first, second = (_ONE, z, plus), (_MINUS_ONE, z, minus)
+        op.terms = (() if plus == minus else
+                    (first, second) if plus < minus else (second, first))
+        return op
 
     @classmethod
     def euler(cls, entries: Sequence[int], beta) -> "WeylOperator":

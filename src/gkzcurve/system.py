@@ -54,9 +54,9 @@ def _general_kernel(A: CurveMatrix) -> list[tuple[int, ...]]:
     degree_bound = 2 * max(A.entries)
     frontier = TruncationFrontier.uniform(A.n, 2 * degree_bound)
     zero = (0,) * A.n
+    # max(|u_+|, |u_-|) = (|u|_1 + |sum u|) / 2
     return sorted((u for u in _lattice.enumerate_offsets(A, frontier)
-                   if u > zero and max(sum(x for x in u if x > 0),
-                                       -sum(x for x in u if x < 0)) <= degree_bound),
+                   if u > zero and sum(map(abs, u)) + abs(sum(u)) <= 2 * degree_bound),
                   reverse=True)
 
 

@@ -41,6 +41,13 @@ def test_series_normalization():
         TruncatedSeries((0, 0), {(11, 0): 1}, frontier2())
 
 
+def test_series_frontier_must_match_base_dimension():
+    with pytest.raises(InvalidInputError, match="dimension"):
+        TruncatedSeries((0, 0), {(1, -1): 1}, TruncationFrontier(3, 5))
+    with pytest.raises(InvalidInputError, match="dimension"):
+        TruncatedSeries((0, 0, 0), {}, TruncationFrontier(2, 5), exact=True)
+
+
 def test_series_json_round_trip():
     f = TruncatedSeries(
         (F(-1), F(1)), {(0, 0): 1, (-3, 2): F(-1, 2)}, frontier2()
@@ -147,6 +154,31 @@ def apply_operator_termwise(op, f):
                 continue
             acc[newu] = acc.get(newu, F(0)) + c_op * c * factor
     return TruncatedSeries(f.base, acc, new_frontier, exact)
+
+
+def from_lattice_oracle(u):
+    """box_u through the general normaliser WeylOperator(n, terms)."""
+    z = (0,) * len(u)
+    return WeylOperator(len(u), [(1, z, [max(x, 0) for x in u]),
+                                 (-1, z, [max(-x, 0) for x in u])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-8, 8), min_size=1, max_size=6)
+       | st.integers(1, 6).map(lambda n: [0] * n))
+def test_from_lattice_matches_the_general_normaliser(u):
+    want = from_lattice_oracle(u)
+    for arg in (tuple(u), u, [F(x) for x in u]):  # entries coerced by int
+        got = WeylOperator.from_lattice(arg)
+        assert got.n == want.n and got.terms == want.terms
+        assert len(got.terms) == (2 if any(u) else 0)
+        for (c, p, q), (wc, _, _) in zip(got.terms, want.terms):
+            assert type(c) is type(wc) is F
+            assert type(p) is type(q) is tuple
+            assert all(type(x) is int for x in p + q)
+        assert got == want and hash(got) == hash(want)
+        assert got.max_shift() == want.max_shift()
+        assert got.to_json() == want.to_json()
 
 
 SMALL_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction as F
 
@@ -131,3 +133,21 @@ def general_kernel_loop(A):
 def test_general_kernel_matches_first_met_loop(entries):
     A = curve_matrix(entries)
     assert _general_kernel(A) == general_kernel_loop(A)
+
+
+# sha256 of the sorted-key JSON of build_system(A, beta).operators, recorded
+# before the kernel binomials were built straight into normal form
+OPERATOR_JSON_SHA256 = {
+    ((3, 4, 5), "0"): "621872f6a44ee391659efdad24798e1f12d56bd38940d1b89d5a70cd55d9986c",
+    ((3, 4, 5), "1/2"): "a3383d79eec2eec4cc713c9f904d41986031e5e04b0f834d091e4ad90b91e8dc",
+    ((4, 5, 6, 7), "0"): "02295f9f19c123cfac035b430cb1848e249cb50e2c0aa0d0a6ea240d82dce125",
+    ((4, 5, 6, 7), "1/2"): "e4974f5fbd80a5abdd23d3ad87834574c1be0dc9d9f560e57a4d477715704726",
+}
+
+
+@pytest.mark.parametrize("entries, beta", list(OPERATOR_JSON_SHA256), ids=str)
+def test_general_operator_json_is_pinned(entries, beta):
+    operators = build_system(entries, F(beta)).operators
+    assert len(operators) == {(3, 4, 5): 33, (4, 5, 6, 7): 672}[entries]
+    text = json.dumps([op.to_json() for op in operators], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == OPERATOR_JSON_SHA256[entries, beta]
