@@ -2,7 +2,8 @@
 
 All subcommands take the matrix as ``-A a1,a2,...`` and the parameter as
 ``-b p/q``; outputs are JSON (default) or plain text with ``--output text``.
-Exit codes: 0 success, 2 invalid input, 3 resource limit exceeded.
+Exit codes: 0 success, 1 the reader of stdout went away, 2 invalid input,
+3 resource limit exceeded.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ that exceptional image is the Ext^1 witness used in the restriction module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -58,10 +57,11 @@ def nsupp(v) -> frozenset[int]:
     )
 
 
-@dataclass(frozen=True)
 class MinimalSupportResult:
-    minimal: bool
-    exact: bool
+    __slots__ = ("minimal", "exact")
+
+    def __init__(self, minimal: bool, exact: bool):
+        self.minimal, self.exact = minimal, exact
 
     def __bool__(self) -> bool:
         return self.minimal

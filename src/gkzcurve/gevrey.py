@@ -28,7 +28,6 @@ the unique slope threshold (b/a, resp. a_n/a_{n-1}).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -192,18 +191,22 @@ def _det(m: list[list[int]]) -> int:
 # slopes
 
 
-@dataclass(frozen=True)
 class SlopeEntry:
-    variable: int
-    has_slope: bool
-    gevrey_jump: Optional[Fraction] = None
-    slope: Optional[Fraction] = None
+    __slots__ = ("variable", "has_slope", "gevrey_jump", "slope")
+
+    def __init__(self, variable: int, has_slope: bool,
+                 gevrey_jump: Optional[Fraction] = None, slope: Optional[Fraction] = None):
+        self.variable = variable
+        self.has_slope = has_slope
+        self.gevrey_jump = gevrey_jump
+        self.slope = slope
 
 
-@dataclass(frozen=True)
 class SlopeReport:
-    matrix: CurveMatrix
-    entries: tuple[SlopeEntry, ...]
+    __slots__ = ("matrix", "entries")
+
+    def __init__(self, matrix: CurveMatrix, entries: tuple[SlopeEntry, ...]):
+        self.matrix, self.entries = matrix, entries
 
     def to_json(self) -> dict:
         from .rationals import format_rational
@@ -264,17 +267,20 @@ SHEAVES = ("O_X|Y", "O^(s)", "Q_Y(s)")
 POINTS = ("origin-or-Z", "smooth-point-of-Y")
 
 
-@dataclass(frozen=True)
 class DimensionTable:
     """Ext^0 / Ext^1 dimensions, keyed by (sheaf, ext_index, point_class)."""
 
-    matrix: CurveMatrix
-    beta: Fraction
-    s: Optional[Fraction]  # None = infinity
-    beta_class: str        # 'special' or 'generic'
-    threshold: Fraction
-    validity: str          # 'exact' or 'generic-beta'
-    cells: dict
+    __slots__ = ("matrix", "beta", "s", "beta_class", "threshold", "validity", "cells")
+
+    def __init__(self, matrix: CurveMatrix, beta: Fraction, s: Optional[Fraction],
+                 beta_class: str, threshold: Fraction, validity: str, cells: dict):
+        self.matrix = matrix
+        self.beta = beta
+        self.s = s                    # None = infinity
+        self.beta_class = beta_class  # 'special' or 'generic'
+        self.threshold = threshold
+        self.validity = validity      # 'exact' or 'generic-beta'
+        self.cells = cells
 
     def cell(self, sheaf: str, ext_index: int, point: str) -> int:
         return self.cells[(sheaf, ext_index, point)]

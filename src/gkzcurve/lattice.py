@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -52,13 +51,23 @@ def term_cap() -> int:
 # curve matrices
 
 
-@dataclass(frozen=True)
 class CurveMatrix:
-    """A 1 x n positive integer matrix together with its family tag."""
+    """A 1 x n positive integer matrix together with its family tag.  Equality
+    and hashing read the entries and the family, not ``base``."""
 
-    entries: tuple[int, ...]
-    family: str
-    base: Optional["CurveMatrix"] = field(default=None, compare=False)
+    __slots__ = ("entries", "family", "base")
+
+    def __init__(self, entries: tuple[int, ...], family: str,
+                 base: Optional[CurveMatrix] = None):
+        self.entries, self.family, self.base = entries, family, base
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CurveMatrix):
+            return NotImplemented
+        return (self.entries, self.family) == (other.entries, other.family)
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.family))
 
     @property
     def n(self) -> int:

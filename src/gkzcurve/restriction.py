@@ -22,14 +22,12 @@ x_0 = 0.  This module packages:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
 from .gamma import _box_gamma_terms, _exponent_axes, lift, modified_exponent
 from .lattice import (
-    CurveMatrix,
     curve_matrix,
     homogenize_matrix,
     minimal_delta,
@@ -37,19 +35,21 @@ from .lattice import (
 )
 from .rationals import as_rational, falling_product, format_rational
 from .series import TruncatedSeries, TruncationFrontier, WeylOperator, apply_operator
-from .system import HypergeometricSystem, build_system
+from .system import build_system
 
 
 # ---------------------------------------------------------------------------
 # homogenization
 
 
-@dataclass(frozen=True)
 class Homogenization:
-    matrix: CurveMatrix           # A' = (1 a_1 ... a_n)
-    system: HypergeometricSystem  # generators of the A' system, incl. Q_i
-    deltas: tuple[int, ...]
-    rhos: tuple[tuple[int, ...], ...]
+    __slots__ = ("matrix", "system", "deltas", "rhos")
+
+    def __init__(self, matrix, system, deltas: tuple[int, ...], rhos: tuple[tuple[int, ...], ...]):
+        self.matrix = matrix  # A' = (1 a_1 ... a_n)
+        self.system = system  # generators of the A' system, incl. Q_i
+        self.deltas = deltas
+        self.rhos = rhos
 
     def to_json(self) -> dict:
         return {
@@ -72,12 +72,13 @@ def homogenize(A, beta) -> Homogenization:
 # b-function
 
 
-@dataclass(frozen=True)
 class BFunction:
     """b(tau) for the restriction to x_0 = 0 w.r.t. the weight (1, 0, ..., 0)."""
 
-    k: int
-    roots: tuple[int, ...]
+    __slots__ = ("k", "roots")
+
+    def __init__(self, k: int, roots: tuple[int, ...]):
+        self.k, self.roots = k, roots
 
     def coefficients(self) -> tuple[Fraction, ...]:
         """Coefficients of prod (tau - r), lowest degree first, expanded in
@@ -119,7 +120,6 @@ def b_function_1kakb(k: int, a: int, b: int) -> BFunction:
 # restriction decompositions
 
 
-@dataclass(frozen=True)
 class RestrictionDecomposition:
     """M restricted to a coordinate subspace, as a direct sum of components.
 
@@ -127,11 +127,15 @@ class RestrictionDecomposition:
     isomorphism holds for all but finitely many parameters.
     """
 
-    source: CurveMatrix
-    beta: Fraction
-    restricted_vars: tuple[int, ...]
-    components: tuple[tuple[CurveMatrix, Fraction], ...]
-    generic: bool = True
+    __slots__ = ("source", "beta", "restricted_vars", "components", "generic")
+
+    def __init__(self, source, beta: Fraction, restricted_vars: tuple[int, ...],
+                 components: tuple, generic: bool = True):
+        self.source = source
+        self.beta = beta
+        self.restricted_vars = restricted_vars
+        self.components = components
+        self.generic = generic
 
     def to_json(self) -> dict:
         return {

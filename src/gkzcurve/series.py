@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -39,17 +38,24 @@ DEFAULT_BOUND = 40
 _ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
-@dataclass(frozen=True)
 class TruncationFrontier:
     """L1 ball { u in Z^n : sum_i |u_i| <= bound } for offsets.  Its JSON
     form lists a weight of all ones, the layout of every stored series."""
 
-    n: int
-    bound: int
+    __slots__ = ("n", "bound")
 
-    def __post_init__(self):
-        if not isinstance(self.bound, int) or isinstance(self.bound, bool):
+    def __init__(self, n: int, bound: int):
+        if not isinstance(bound, int) or isinstance(bound, bool):
             raise InvalidInputError("frontier bound must be an integer")
+        self.n, self.bound = n, bound
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TruncationFrontier):
+            return NotImplemented
+        return (self.n, self.bound) == (other.n, other.bound)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.bound))
 
     @classmethod
     def uniform(cls, n: int, bound: int = DEFAULT_BOUND) -> "TruncationFrontier":
@@ -272,14 +278,17 @@ def apply_operator(op: WeylOperator, f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(f.base, terms, new_frontier, exact)
 
 
-@dataclass(frozen=True)
 class AnnihilationReport:
     """Residual summary for one operator applied to one series."""
 
-    operator: WeylOperator
-    residual_term_count: int
-    max_residual_offset: tuple[int, ...] | None
-    frontier_bound: int
+    __slots__ = ("operator", "residual_term_count", "max_residual_offset", "frontier_bound")
+
+    def __init__(self, operator: WeylOperator, residual_term_count: int,
+                 max_residual_offset: tuple[int, ...] | None, frontier_bound: int):
+        self.operator = operator
+        self.residual_term_count = residual_term_count
+        self.max_residual_offset = max_residual_offset
+        self.frontier_bound = frontier_bound
 
     @property
     def annihilated(self) -> bool:

@@ -17,24 +17,24 @@ Every binomial generator is box_u for a kernel vector u:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .lattice import CurveMatrix, curve_matrix, minimal_delta
 from .rationals import as_rational
 from .series import TruncationFrontier, WeylOperator
 from . import lattice as _lattice
 
 
-@dataclass(frozen=True)
 class HypergeometricSystem:
     """A curve matrix, a parameter, and a finite generating set of operators."""
 
-    matrix: CurveMatrix
-    beta: Fraction
-    toric: tuple[WeylOperator, ...]
-    euler: WeylOperator
-    extra: tuple[WeylOperator, ...] = ()
+    __slots__ = ("matrix", "beta", "toric", "euler", "extra")
+
+    def __init__(self, matrix: CurveMatrix, beta, toric: tuple[WeylOperator, ...],
+                 euler: WeylOperator, extra: tuple[WeylOperator, ...] = ()):
+        self.matrix = matrix
+        self.beta = beta
+        self.toric = toric
+        self.euler = euler
+        self.extra = extra
 
     @property
     def operators(self) -> tuple[WeylOperator, ...]:

@@ -335,11 +335,28 @@ def test_closed_stdout_pipe_exits_without_traceback():
     assert proc.returncode == 1
 
 
-def test_import_leaves_numpy_out():
-    code = "import sys, gkzcurve, gkzcurve.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
+#: run by a fresh interpreter: prints the modules that ``import gkzcurve.cli``
+#: adds to those the interpreter loaded at start, one a line
+NEW_MODULES = """
+import sys
+before = set(sys.modules)
+import gkzcurve.cli
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_leaves_heavy_modules_out():
+    # every gkz process pays for what it imports: the records are plain classes
+    # because dataclasses imports inspect, ast and dis.  Some interpreters load
+    # inspect at start from a site hook, hence the difference, not sys.modules.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", NEW_MODULES], capture_output=True,
+                         text=True, env=env, check=True)
+    new = set(out.stdout.split())
+    assert "gkzcurve.cli" in new
+    assert new.isdisjoint({"numpy", "dataclasses", "inspect"}), sorted(new)
 
 
 # ---------------------------------------------------------------------------

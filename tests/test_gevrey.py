@@ -226,6 +226,7 @@ def test_gevrey_estimate_rejects_negative_min_terms():
 def test_slope_report_plane():
     rep = slope_report((2, 3))
     assert not rep.entries[0].has_slope
+    assert rep.entries[0].gevrey_jump is None and rep.entries[0].slope is None
     last = rep.entries[1]
     assert last.has_slope
     assert last.gevrey_jump == F(3, 2)

@@ -29,7 +29,13 @@ def test_family_inference():
     assert curve_matrix((2, 3)).family == "plane"
     assert curve_matrix((1, 2, 5)).family == "smooth"
     assert curve_matrix((3, 4, 5)).family == "general"
-    assert homogenize_matrix(curve_matrix((3, 4, 5))).family == "homogenized"
+    A = curve_matrix((3, 4, 5))
+    Ah = homogenize_matrix(A)
+    assert Ah.family == "homogenized" and Ah.base is A
+    # equality and hashing read the entries and the family, not the base
+    plain = CurveMatrix((1,) + A.entries, "homogenized")
+    assert plain.base is None and Ah == plain and hash(Ah) == hash(plain)
+    assert CurveMatrix((1, 2, 5), "smooth") != CurveMatrix((1, 2, 5), "general")
 
 
 @pytest.mark.parametrize(

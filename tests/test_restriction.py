@@ -88,7 +88,7 @@ def test_b_function_validation():
 
 def test_restrict_three_variables_with_gcd():
     dec = restrict_decomposition((1, 4, 6), 5)
-    assert dec.generic
+    assert dec.generic is True
     assert [(m.entries, b) for m, b in dec.components] == [
         ((2, 3), F(5, 2)),
         ((2, 3), 2),

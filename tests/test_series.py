@@ -25,10 +25,12 @@ def test_frontier_membership_and_shrink():
     fr = TruncationFrontier.uniform(2, 7)
     assert fr.contains((2, -5)) and not fr.contains((-3, 5))
     assert fr.shrink(3) == TruncationFrontier(2, 4)
+    assert hash(fr.shrink(3)) == hash(TruncationFrontier(2, 4))
+    assert fr != TruncationFrontier(3, 7) and fr != TruncationFrontier(2, 6)
     assert fr.to_json() == {"weight": [1, 1], "bound": 7}
 
 
-@pytest.mark.parametrize("bound", [2.5, "3", None, True])
+@pytest.mark.parametrize("bound", [2.5, 2.0, "3", None, True])
 def test_frontier_bound_must_be_an_integer(bound):
     with pytest.raises(InvalidInputError, match="integer"):
         TruncationFrontier.uniform(2, bound)

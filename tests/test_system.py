@@ -7,7 +7,7 @@ import pytest
 
 from gkzcurve.lattice import curve_matrix, homogenize_matrix, minimal_delta
 from gkzcurve.series import TruncationFrontier, WeylOperator
-from gkzcurve.system import _general_kernel, build_system
+from gkzcurve.system import HypergeometricSystem, _general_kernel, build_system
 from gkzcurve import lattice
 
 PLANE = [(a, b) for b in range(2, 13) for a in range(1, b) if math.gcd(a, b) == 1]
@@ -23,6 +23,8 @@ def test_plane_system_shape():
     assert system.toric[0] == WeylOperator.from_lattice((3, -2))
     assert system.euler == WeylOperator.euler((2, 3), F(1, 2))
     assert system.operators[-1] is system.euler
+    assert system.extra == ()
+    assert HypergeometricSystem(system.matrix, system.beta, system.toric, system.euler).extra == ()
 
 
 def test_smooth_system_shape():
