@@ -33,7 +33,6 @@ from .lattice import (
     CurveMatrix,
     curve_matrix,
     delta_j_set,
-    enumerate_offsets,
     homogenize_matrix,
     in_semigroup,
     minimal_delta,

@@ -7,9 +7,9 @@ need two pieces of integer data from it:
 
 * membership in the numerical semigroup N a_1 + ... + N a_n, with witnesses,
 * enumeration of the integer points of an affine hyperplane inside a
-  weighted L1 ball: the kernel points of the "frontier" (the unweighted
-  ball) that truncates every series in the package, and the finite sets
-  indexing polynomial solutions, Delta_j and the Ext^1 generator.
+  weighted L1 ball: the Gamma-series terms inside the "frontier" (the
+  unweighted ball) that truncates every series in the package, and the
+  finite sets indexing polynomial solutions, Delta_j and the Ext^1 generator.
 
 Every matrix has at least two positive, strictly increasing entries of
 gcd 1.  Its family tag follows from the entries:
@@ -333,6 +333,8 @@ def _lattice_runs(coeffs: Sequence[int], rhs: int, weight: Sequence[int], bound:
 def enumerate_offsets(A: CurveMatrix, frontier) -> list[tuple[int, ...]]:
     """All u in L_A with sum_i |u_i| <= frontier.bound, sorted, from
     :func:`_lattice_points` (which raises ResourceLimitError past the cap).
+    It stays only as the tests' oracle and because the benchmark's trace
+    wraps it by name; ROADMAP item 3 deletes it.
     """
     if frontier.n != A.n:
         raise InvalidInputError("frontier dimension mismatch")

@@ -282,13 +282,16 @@ def test_answers_past_the_int_str_digit_limit(no_int_digit_limit):
 
 
 def test_term_cap_refuses_by_request_size_before_the_walk(capsys):
-    # the free ball of six coordinates at radius 40 holds about 4e8 points:
-    # refused before the enumeration starts, at the default cap
-    start = time.perf_counter()
-    code, out, err = run(capsys, "series", "-A", "1,2,3,4,5,6,7", "-b", "1/2",
-                         "--point", "singular", "--index", "0", "--bound", "40")
-    assert time.perf_counter() - start < 1.0
-    assert code == 3 and out == "" and "resource" in err
+    # the free ball of six coordinates at radius 40 holds about 4e8 points, and
+    # the ball |u|_1 <= 2D = 40 that holds the kernel of (6 7 8 9 10) holds
+    # 1,797,441: refused before the walk starts, at the default cap
+    for argv in (("series", "-A", "1,2,3,4,5,6,7", "-b", "1/2", "--point", "singular",
+                  "--index", "0", "--bound", "40"),
+                 ("verify", "-A", "6,7,8,9,10", "-b", "0")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 3 and out == "" and "resource" in err, argv
 
 
 def test_membership_answers_above_the_term_cap(capsys, monkeypatch):

@@ -4,7 +4,9 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gkzcurve.errors import ResourceLimitError
 from gkzcurve.lattice import curve_matrix, homogenize_matrix, minimal_delta
 from gkzcurve.series import TruncationFrontier, WeylOperator
 from gkzcurve.system import HypergeometricSystem, _general_kernel, build_system
@@ -135,6 +137,42 @@ def general_kernel_loop(A):
 def test_general_kernel_matches_first_met_loop(entries):
     A = curve_matrix(entries)
     assert _general_kernel(A) == general_kernel_loop(A)
+
+
+def general_kernel_ball(A):
+    """The L1-ball filter that the budgeted walk of _general_kernel replaced
+    (test oracle): max(|u_+|, |u_-|) = (|u|_1 + |sum u|) / 2 <= D."""
+    degree_bound = 2 * max(A.entries)
+    frontier = TruncationFrontier.uniform(A.n, 2 * degree_bound)
+    zero = (0,) * A.n
+    return sorted((u for u in lattice.enumerate_offsets(A, frontier)
+                   if u > zero and sum(map(abs, u)) + abs(sum(u)) <= 2 * degree_bound),
+                  reverse=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(2, 13), min_size=3, max_size=5, unique=True)
+       .map(sorted).filter(lambda e: math.gcd(*e) == 1))
+def test_general_kernel_matches_the_ball_filter(entries):
+    A = curve_matrix(entries)
+    try:
+        want = general_kernel_ball(A)
+    except ResourceLimitError:
+        # refused by the same ball count, before either walk
+        with pytest.raises(ResourceLimitError):
+            _general_kernel(A)
+        return
+    assert _general_kernel(A) == want
+
+
+def test_general_kernel_refuses_at_the_ball_count(monkeypatch):
+    # (4 5 6 7): D = 14, and the ball |u|_1 <= 28 over u_1 .. u_3 holds 30,913 points
+    assert lattice._ball_count(3, 28, True) == 30913
+    monkeypatch.setenv("GKZ_TERM_CAP", "30912")
+    with pytest.raises(ResourceLimitError):
+        build_system((4, 5, 6, 7), 0)
+    monkeypatch.setenv("GKZ_TERM_CAP", "30913")
+    assert len(build_system((4, 5, 6, 7), 0).operators) == 672
 
 
 # sha256 of the sorted-key JSON of build_system(A, beta).operators, recorded
