@@ -16,11 +16,17 @@ Series flagged ``exact=True`` carry *all* their nonzero terms (e.g.
 polynomial solutions); operators then apply without any frontier loss.
 
 Operators live in the Weyl algebra with rational coefficients: sums of
-monomials  c * x^p * d^q  with multi-indices p, q >= 0.
+monomials  c * x^p * d^q  with multi-indices p, q >= 0.  They act on a
+prepared view of a series, built once per call and shared by every operator
+of :func:`verify_annihilation`: the term keys, numerators, denominators and
+L1 norms, and each offset u packed into one int, its balanced base-R digits
+with R = 2(M + S) + 1, M = max |u_i| and S the largest operator shift.  A
+target u + shift then has the source's code plus the shift's as its key.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -221,61 +227,95 @@ class WeylOperator:
 # operator action
 
 
-def apply_operator(op: WeylOperator, f: TruncatedSeries) -> TruncatedSeries:
-    """Apply op to f.  The result frontier shrinks by op.max_shift unless f
-    is exact; inside the returned frontier every coefficient is exact.
+def _act(ops, f: TruncatedSeries):
+    """Yield (op, frontier, residual) for each op: residual maps the offset
+    of each nonzero term of op f to an unreduced pair (num, den).
 
     Terms c x^p d^q of one shift p - q act together: c_u x^{base+u} adds
-    c_u * S at u + p - q, with S = sum c (base + u)_q an integer sum over one
-    denominator, so S = 0 (the Euler operator) costs no big multiply.
-
-    Each target's sum is an unreduced integer pair (num, den), and a
-    contribution is added by cross-multiplication, which needs no gcd; a sum
-    that cancels drops back to (0, 1).  A target gets at most one
-    contribution per shift, so a pair is a product of a few coefficients and
-    lives for this call only.  A Fraction is built only for a nonzero sum at
-    the end, so an annihilating operator builds none.
+    c_u * S_u at u + p - q, with S_u = sum c (base + u)_q an integer sum over
+    one denominator, built column by column from the falling products of the
+    distinct u_i.  A shift whose S_u all vanish (the Euler operator on a
+    Gamma series) is skipped; the packed keys are built for the first shift
+    that moves a term, and the frontier is tested term by term only where
+    |u|_1 > bound - |shift|_1.  A contribution joins its target's pair by
+    cross-multiplication, with no gcd, and a sum that cancels drops back to
+    (0, 1).  Only a nonzero residual is decoded from its key.
     """
-    if op.n != f.n:
-        raise InvalidInputError("operator/series dimension mismatch")
-    exact = f.exact
-    new_frontier = f.frontier if exact else f.frontier.shrink(op.max_shift())
+    ops, n, exact = list(ops), f.n, f.exact
+    reach = None if exact else [op.max_shift() for op in ops]
+    keys = list(f.terms)
+    cols, size = list(zip(*keys)) or [()] * n, len(keys)
     bp, bq = [b.numerator for b in f.base], [b.denominator for b in f.base]
-    groups: dict[tuple[int, ...], list] = {}
-    for c_op, p, q in op.terms:
-        groups.setdefault(tuple(map(operator.sub, p, q)), []).append(
-            (c_op / math.prod(map(pow, bq, q)), [(i, qi) for i, qi in enumerate(q) if qi]))
-    source = [(u, c.numerator, c.denominator) for u, c in f.terms.items()]
-    bound = new_frontier.bound
-    acc: dict[tuple[int, ...], tuple[int, int]] = {}
-    for shift, terms in groups.items():
-        den = math.lcm(*(k.denominator for k, _ in terms))
-        # q_i-scaled (base_i + u_i)_{q_i} of each term, cached by u_i
-        terms = [(k.numerator * (den // k.denominator), [(i, qi, {}) for i, qi in nz])
-                 for k, nz in terms]
-        for u, num, cden in source:
-            newu = tuple(map(operator.add, u, shift))
-            if not exact and sum(map(abs, newu)) > bound:
+    falling: dict[tuple[int, int], list[int]] = {}  # (i, q_i) -> column of (base_i + u_i)_{q_i}
+    codes = None
+    for j, op in enumerate(ops):
+        if op.n != n:
+            raise InvalidInputError("operator/series dimension mismatch")
+        frontier = f.frontier if exact else f.frontier.shrink(reach[j])
+        bound = frontier.bound
+        groups: dict[tuple[int, ...], list] = {}
+        for c, p, q in op.terms:
+            groups.setdefault(tuple(map(operator.sub, p, q)), []).append(
+                (c.numerator, c.denominator * math.prod(map(pow, bq, q)), q))
+        acc: dict[int, tuple[int, int]] = {}
+        for shift, terms in groups.items():
+            den = math.lcm(*(d for _, d, _ in terms))
+            weights = None
+            for k, d, q in terms:
+                w = [k * (den // d)] * size
+                for i, qi in enumerate(q):
+                    if qi:
+                        col = falling.get((i, qi))
+                        if col is None:
+                            table = {x: falling_product(bp[i] + x * bq[i], bq[i], qi)
+                                     for x in set(cols[i])}
+                            col = falling[i, qi] = list(map(table.__getitem__, cols[i]))
+                        w = list(map(operator.mul, w, col))
+                weights = w if weights is None else list(map(operator.add, weights, w))
+            if not any(weights):
                 continue
-            s = 0
-            for k, nz in terms:
-                for i, qi, table in nz:
-                    ui = u[i]
-                    x = table.get(ui)
-                    if x is None:
-                        x = table[ui] = falling_product(bp[i] + ui * bq[i], bq[i], qi)
-                    k *= x
-                s += k
-            if s:
-                a, b = num * s, cden * den
-                old = acc.get(newu)
+            if codes is None:
+                half = (max(map(abs, itertools.chain(*cols)))
+                        + max(reach or map(WeylOperator.max_shift, ops)))
+                radix, codes = 2 * half + 1, list(cols[0])
+                for col in cols[1:]:
+                    codes = [c * radix + x for c, x in zip(codes, col)]
+                nums = [c.numerator for c in f.terms.values()]
+                dens = [c.denominator for c in f.terms.values()]
+                l1s = itertools.repeat(0) if exact else [sum(map(abs, u)) for u in keys]
+            step, limit = 0, 0 if exact else bound - sum(map(abs, shift))
+            for x in shift:
+                step = step * radix + x
+            for code, w, num, cden, l1, u in zip(codes, weights, nums, dens, l1s, keys):
+                if not w or l1 > limit and sum(map(abs, map(operator.add, u, shift))) > bound:
+                    continue
+                a, b, t = num * w, cden * den, code + step
+                old = acc.get(t)
                 if old is None:
-                    acc[newu] = (a, b)
-                else:
+                    acc[t] = (a, b)
+                else:  # old[1] * b only for a sum that does not cancel
                     a = old[0] * b + a * old[1]
-                    acc[newu] = (a, old[1] * b) if a else (0, 1)
-    terms = {u: Fraction(a, b) for u, (a, b) in acc.items() if a}
-    return TruncatedSeries(f.base, terms, new_frontier, exact)
+                    acc[t] = (a, old[1] * b) if a else (0, 1)
+        residual = {}
+        for t, pair in acc.items():
+            if pair[0]:
+                u = []
+                for _ in range(n):
+                    u.append((t + half) % radix - half)
+                    t = (t - u[-1]) // radix
+                residual[tuple(reversed(u))] = pair
+        yield op, frontier, residual
+
+
+def apply_operator(op: WeylOperator, f: TruncatedSeries) -> TruncatedSeries:
+    """Apply op to f through the prepared view of f (see the module
+    docstring and :func:`_act`), decoding only the nonzero residuals.  The
+    result frontier shrinks by op.max_shift unless f is exact; inside the
+    returned frontier every coefficient is exact.  A Fraction is built only
+    for a nonzero residual, so an annihilating operator builds none."""
+    ((_, frontier, residual),) = _act((op,), f)
+    terms = {u: Fraction(a, b) for u, (a, b) in residual.items()}
+    return TruncatedSeries(f.base, terms, frontier, f.exact)
 
 
 class AnnihilationReport:
@@ -297,11 +337,11 @@ class AnnihilationReport:
 
 def verify_annihilation(ops: Iterable[WeylOperator],
                         f: TruncatedSeries) -> list[AnnihilationReport]:
-    """Apply each operator and report the surviving (residual) terms."""
-    reports = []
-    for op in ops:
-        g = apply_operator(op, f)
-        worst = max(g.terms, key=lambda u: (sum(map(abs, u)), u), default=None)
-        reports.append(AnnihilationReport(op, len(g.terms), worst, g.frontier.bound))
-    return reports
-
+    """Apply each operator and report the surviving (residual) terms.  One
+    prepared view of f serves every operator (see the module docstring), and
+    each report reads its count and worst offset off the decoded residual
+    keys, so no series is built."""
+    return [AnnihilationReport(op, len(residual),
+                               max(residual, key=lambda u: (sum(map(abs, u)), u), default=None),
+                               frontier.bound)
+            for op, frontier, residual in _act(ops, f)]

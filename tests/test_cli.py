@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -152,6 +153,26 @@ def test_general_matrix_verify(capsys):
         # the binomials of build_system((3 4 5)) plus the Euler operator
         assert len(ver["reports"]) == len(build_system((3, 4, 5), F(1, 2)).operators) == 33
         assert ver["all_annihilated"], point
+
+
+# sha256 of the whole `gkz verify` JSON: every operator's verdict, residual
+# count, worst residual offset and frontier bound, pinned byte for byte
+VERIFY_DIGESTS = {
+    "-A 4,5,6,7 -b 1/2 --point singular --index 0 --bound 30":
+        "e32c14f0de97dfbd2a30c70725bce6be83621c06eda28d9d74fa5d8357789573",
+    "-A 3,4,5 -b 1/2 --point singular --index 0 --bound 40":
+        "ff6c40861099363c9594cbd8a6cdbccdffe0467a89cab52f9f90b6242ec88604",
+    # not annihilated: residual terms and a worst offset in the reports
+    "-A 2,3 -b 3 --point modified --bound 30":
+        "c8c08fb208dbe946038b2c1a60c85faddd8102bb83728f871ac641c2aab3d66a",
+}
+
+
+@pytest.mark.parametrize("argv", list(VERIFY_DIGESTS))
+def test_verify_json_is_pinned(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv.split())
+    assert code == 0 and err == "", err
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[argv]
 
 
 def test_general_matrix_series_is_the_restricted_library_series(capsys):

@@ -247,3 +247,125 @@ def test_apply_operator_matches_termwise_loop_on_gamma_series():
     for op in system.operators:
         got = apply_operator(op, f)
         assert got.terms == apply_operator_termwise(op, f).terms and got.exact
+
+
+# ---------------------------------------------------------------------------
+# verify_annihilation against the term-by-term loop
+
+
+def report_fields(reports):
+    return [(r.residual_term_count, r.max_residual_offset, r.frontier_bound, r.annihilated)
+            for r in reports]
+
+
+def verify_annihilation_termwise(ops, f):
+    """The report fields of each operator, from apply_operator_termwise."""
+    fields = []
+    for op in ops:
+        g = apply_operator_termwise(op, f)
+        worst = max(g.terms, key=lambda u: (sum(map(abs, u)), u), default=None)
+        fields.append((len(g.terms), worst, g.frontier.bound, not g.terms))
+    return fields
+
+
+@st.composite
+def operator_lists(draw, n):
+    """A series and random operators mixed with ones that annihilate it: the
+    zero operator, an Euler operator sum a_j x_j d_j - a.base (on a series
+    kept to a.u = 0), and for a truncated series a shift past its bound."""
+    f = draw(truncated_series(n))
+    a = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        f = TruncatedSeries(f.base, {u: c for u, c in f.terms.items()
+                                     if sum(x * y for x, y in zip(a, u)) == 0},
+                            f.frontier, f.exact)
+    killers = [WeylOperator(n, ()),
+               WeylOperator.euler(a, sum(x * b for x, b in zip(a, f.base)))]
+    if not f.exact:
+        far = [f.frontier.bound + 1] + [0] * (n - 1)
+        killers.append(WeylOperator(n, [(F(3, 2), far, [0] * n)]))
+    ops = draw(st.lists(weyl_operators(n) | st.sampled_from(killers), max_size=6))
+    return ops, f
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 3).flatmap(operator_lists))
+def test_verify_annihilation_matches_termwise_loop(pair):
+    ops, f = pair
+    reports = verify_annihilation(ops, f)
+    assert [r.operator for r in reports] == ops
+    assert report_fields(reports) == verify_annihilation_termwise(ops, f)
+
+
+def test_verify_annihilation_mixes_annihilating_and_other_operators():
+    for entries, beta, bound in (((2, 3), F(1, 2), 120), ((1, 2, 5), F(3, 2), 30),
+                                 ((1, 2, 3, 5), F(1), 14)):
+        system, other = build_system(entries, beta), build_system(entries, beta + 1)
+        f = gamma_series(singular_exponents(system)[0], system,
+                         TruncationFrontier.uniform(system.n, bound))
+        moved = TruncatedSeries((f.base[0] + 1,) + f.base[1:], f.terms, f.frontier)
+        ops = [op for pair in zip(system.operators, other.operators) for op in pair]
+        verdicts = []
+        for g in (f, moved):
+            got = report_fields(verify_annihilation(ops, g))
+            assert got == verify_annihilation_termwise(ops, g)
+            verdicts.append([r[3] for r in got])
+        # f: all but the last, the Euler operator at beta + 1; moved: no binomial
+        assert verdicts[0] == [True] * (len(ops) - 1) + [False]
+        assert not any(verdicts[1][:-2])
+
+
+# ---------------------------------------------------------------------------
+# edges of the packed offsets
+
+
+def test_exact_series_targets_beyond_every_stored_offset():
+    # max |u_i| = 1, shifts up to 12: every target lies past the stored offsets
+    f = TruncatedSeries((F(0), F(2)), {(0, 0): 1, (1, -1): F(-3, 2), (0, 1): 5},
+                        frontier2(0), exact=True)
+    ops = [WeylOperator(2, [(1, (9, 0), (0, 0))]),
+           WeylOperator(2, [(2, (0, 12), (1, 0)), (-1, (7, 7), (0, 0))]),
+           WeylOperator(2, [(1, (0, 0), (0, 11)), (F(1, 3), (0, 10), (10, 0))]),
+           WeylOperator.from_lattice((-12, 12))]
+    g = apply_operator(ops[0], f)
+    assert g.terms == {(9, 0): 1, (10, -1): F(-3, 2), (9, 1): 5}
+    assert g.exact and g.frontier.bound == 0
+    assert apply_operator(ops[1], f).coefficient((7, 8)) == -5
+    for op in ops:
+        assert apply_operator(op, f).terms == apply_operator_termwise(op, f).terms
+    assert report_fields(verify_annihilation(ops, f)) == verify_annihilation_termwise(ops, f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("base", [F(1, 2), F(-2), F(-5, 3), F(0)], ids=str)
+@pytest.mark.parametrize("exact", [False, True])
+def test_offsets_at_plus_and_minus_m_in_every_coordinate(n, base, exact):
+    m = 3
+    corners = [tuple(m if (k >> i) & 1 else -m for i in range(n)) for k in range(2 ** n)]
+    terms = {u: F(k + 1, k + 2) * (-1) ** k for k, u in enumerate(corners)}
+    terms[(0,) * n] = 7
+    f = TruncatedSeries((base,) * n, terms, TruncationFrontier.uniform(n, n * m + 2), exact)
+    ones, twos = (1,) * n, (2,) * n
+    ops = [WeylOperator(n, [(1, ones, (0,) * n), (-1, (0,) * n, twos)]),  # every coordinate
+           WeylOperator.from_lattice([(-1) ** i * 2 for i in range(n)]),
+           WeylOperator.euler(range(1, n + 1), F(1, 2))]
+    for i in range(n):
+        e = [0] * n
+        e[i] = 1
+        ops.append(WeylOperator(n, [(F(-1, 3), [2 * x for x in e], e), (5, e, [3 * x for x in e])]))
+    assert report_fields(verify_annihilation(ops, f)) == verify_annihilation_termwise(ops, f)
+    for op in ops:
+        got, want = apply_operator(op, f), apply_operator_termwise(op, f)
+        assert got.terms == want.terms and got.frontier == want.frontier
+
+
+def test_verify_annihilation_checks_every_operator_dimension():
+    f = TruncatedSeries((F(1, 2), F(0)), {(0, 0): 1, (2, -1): 3}, frontier2())
+    E, wrong = WeylOperator.euler((2, 3), 0), WeylOperator.euler((1, 2, 3), 1)
+    assert verify_annihilation([], f) == []
+    assert verify_annihilation(iter([E, E]), f)[1].residual_term_count == 2
+    for ops in ([wrong], [wrong, E], [E, E, wrong], [E, wrong, E]):
+        with pytest.raises(InvalidInputError, match="dimension"):
+            verify_annihilation(ops, f)
+    with pytest.raises(InvalidInputError, match="dimension"):
+        apply_operator(wrong, f)
