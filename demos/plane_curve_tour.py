@@ -16,6 +16,7 @@ from gkzcurve import (
     generic_exponents,
     gevrey_index_estimate,
     polynomial_solution,
+    semigroup_contains,
     singular_exponents,
     verify_annihilation,
 )
@@ -56,6 +57,10 @@ def main():
     got = polynomial_solution((2, 3), 6)
     assert got is not None
     q, p = got
+    # beta = 6 lies in N A, and p sums monomials x^w with w in N^2, A.w = 6:
+    # the lexicographically smallest such w, 6 = 0*2 + 2*3, is one of them
+    exponents = {tuple(b + x for b, x in zip(p.base, u)) for u in p.terms}
+    assert semigroup_contains((2, 3), 6) in exponents
     print(f"\npolynomial solution at beta = 6 (from v^{q}):")
     for u, c in p.sorted_terms():
         print(f"  offset {u}: {c}")

@@ -195,12 +195,15 @@ def cmd_solve_ext1(args):
     f_table = {}
     if args.f:
         try:
-            for item in json.loads(args.f):
-                key = (_table_index(item["k"]), _table_index(item["m"]))
-                f_table[key] = parse_rational(item["coeff"])
+            items = [((_table_index(e["k"]), _table_index(e["m"])), parse_rational(e["coeff"]))
+                     for e in json.loads(args.f)]
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise InvalidInputError(f"bad --f table {args.f!r}: expected a JSON list "
                                     'like [{"k":0,"m":0,"coeff":"1"}]') from exc
+        for (k, m), coeff in items:
+            if (k, m) in f_table:
+                raise InvalidInputError(f"--f repeats the index k={k}, m={m}")
+            f_table[k, m] = coeff
     h = ext1_recurrence_solve(
         _matrix(args.matrix), parse_rational(args.epsilon),
         parse_rational(args.beta), f_table, num_terms=args.terms,

@@ -5,7 +5,7 @@ positive entries.  Such a row cuts out an affine monomial curve, and the
 constructions downstream (toric operators, Gamma series, restrictions) only
 need two pieces of integer data from it:
 
-* membership in the numerical semigroup N a_1 + ... + N a_n, with witnesses,
+* membership in the numerical semigroup N a_1 + ... + N a_n, by Apéry sets,
 * enumeration of the integer points of an affine hyperplane inside a
   weighted L1 ball: the Gamma-series terms inside the "frontier" (the
   unweighted ball) that truncates every series in the package, and the
@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
 
-#: default cap on semigroup targets / enumerated lattice points
+#: default cap on Apéry table size / enumerated lattice points
 DEFAULT_TERM_CAP = 10**6
 
 TERM_CAP_ENV = "GKZ_TERM_CAP"
@@ -122,72 +122,71 @@ def homogenize_matrix(A: CurveMatrix) -> CurveMatrix:
 # numerical semigroup membership
 
 
-def _suffix_reach(gens: tuple[int, ...], limit: int) -> list[int]:
-    """R_0, ..., R_r as bitsets: bit t of R_k is set iff t <= limit is a sum
-    of gens[k:].
+def _apery(gens: tuple[int, ...]) -> tuple[int, int, list]:
+    """(d, m, table) for S = sum_i N g_i: d = gcd(g), m = min(g) / d, table[r]
+    the least element of S / d congruent to r mod m (the Apéry set), so t is in
+    S iff d | t and t / d >= table[t / d mod m].  Filled in O(k m) by the round
+    robin of Böcker & Lipták (Algorithmica 48, 2007); m past the term cap raises."""
+    d = math.gcd(*gens)
+    m = min(gens) // d
+    if m > 1 and m > term_cap():  # the one-entry table [0] fits any cap
+        raise ResourceLimitError(f"an Apery table of {m} entries exceeds the term cap")
+    table = [0] + [math.inf] * (m - 1)
+    for a in (g // d for g in gens if g // d % m):
+        e = math.gcd(a, m)
+        for r in range(e):
+            n = min(table[r::e])
+            for _ in range(m // e - 1 if n < math.inf else 0):
+                n += a
+                p = n % m
+                n = table[p] = n if n < table[p] else table[p]
+    return d, m, table
 
-    R_r = {0}, and R_k closes R_{k+1} under adding g_k: each shift by
-    step = g_k, 2 g_k, 4 g_k, ... doubles the multiples of g_k covered,
-    until they pass ``limit``.
-    """
-    mask = (1 << (limit + 1)) - 1
-    reach = [1]
-    for g in reversed(gens):
-        bits = reach[-1]
-        step = g
-        while step <= limit:
-            bits |= (bits << step) & mask
-            step *= 2
-        reach.append(bits)
-    reach.reverse()
-    return reach
+
+def _semigroup(generators: Sequence[int], target: int):
+    """(int target, member, witness): member(t, k) tells if t is in S_k =
+    sum_{i >= k} N g_i; witness(t) is semigroup_contains for t in S_0.  S_k's
+    Apéry table is built once, when a t >= min(gens[k:]) first asks for it
+    (only 0 lies below).  Inputs not equal to integers raise InvalidInputError."""
+    raw = tuple(generators)
+    gens, t = tuple(map(int, raw)), int(target)
+    if not gens or min(gens) <= 0 or gens != raw or t != target:
+        raise InvalidInputError("semigroup generators must be positive integers, targets integers")
+    low, tables = [min(gens[k:]) for k in range(len(gens))], {}
+
+    def member(t: int, k: int = 0) -> bool:
+        if t < low[k]:
+            return t == 0
+        d, m, table = tables.get(k) or tables.setdefault(k, _apery(gens[k:]))
+        return t % d == 0 and t // d >= table[t // d % m]
+
+    def witness(t: int) -> tuple[int, ...]:  # for a member t
+        counts, gcd = [], [math.gcd(*gens[k:]) for k in range(len(gens))]
+        for k, g in enumerate(gens[:-1]):
+            # c runs over the one class mod s that keeps gcd[k + 1] | t - c g
+            s = gcd[k + 1] // gcd[k]
+            c = t // gcd[k] * pow(g // gcd[k], -1, s) % s
+            while not member(t - c * g, k + 1):
+                c += s
+            counts.append(c)
+            t -= c * g
+        return (*counts, t // gens[-1])
+    return t, member, witness
 
 
 def semigroup_contains(generators: Sequence[int], target: int) -> Optional[tuple[int, ...]]:
-    """A witness (c_1, ..., c_r) >= 0 with sum_i c_i g_i = target, found by
-    dynamic programming, or None when target is not in sum_i N g_i.
-
-    The witness is the lexicographically smallest one: the walk takes the
-    least c_k that leaves a remainder reachable by the later generators.
-    Negative targets are non-members; target 0 is a member with the zero
-    witness.  Targets above the term cap raise ResourceLimitError rather
-    than silently answering.
-    """
-    gens = tuple(int(g) for g in generators)
-    if not gens or any(g <= 0 for g in gens):
-        raise InvalidInputError("semigroup generators must be positive integers")
-    target = int(target)
-    if target < 0:
-        return None
-    if target > term_cap():
-        raise ResourceLimitError(f"semigroup target {target} exceeds the term cap")
-    reach = _suffix_reach(gens, target)
-    if not reach[0] >> target & 1:
-        return None
-    counts = []
-    t = target
-    for k, g in enumerate(gens):
-        c = 0
-        while not reach[k + 1] >> (t - c * g) & 1:
-            c += 1
-        counts.append(c)
-        t -= c * g
-    return tuple(counts)
+    """The lexicographically smallest (c_1, ..., c_r) >= 0 with sum_i c_i g_i =
+    target, or None: c_k is the least c leaving target - c g_k in the semigroup
+    of the later generators, read from Apéry tables (:func:`_apery`) whose size
+    the term cap bounds.  Inputs not equal to integers raise InvalidInputError."""
+    t, member, witness = _semigroup(generators, target)
+    return witness(t) if member(t) else None
 
 
 def in_semigroup(generators: Sequence[int], target: int) -> bool:
-    """Is target in sum_i N g_i?
-
-    When gcd(g) = 1, Schur's bound on the Frobenius number (Brauer, Amer. J.
-    Math. 64, 1942) puts every target t >= (g_min - 1)(g_max - 1) in the
-    semigroup, so only smaller targets reach the DP of
-    :func:`semigroup_contains` and its term cap.
-    """
-    gens = tuple(int(g) for g in generators)
-    if gens and min(gens) > 0 and math.gcd(*gens) == 1 \
-            and target >= (min(gens) - 1) * (max(gens) - 1):
-        return True
-    return semigroup_contains(gens, target) is not None
+    """Is target in sum_i N g_i?  Read from the Apéry table of all of them alone."""
+    t, member, _ = _semigroup(generators, target)
+    return member(t)
 
 
 def minimal_delta(A: CurveMatrix, i: int) -> tuple[int, tuple[int, ...]]:
@@ -199,20 +198,16 @@ def minimal_delta(A: CurveMatrix, i: int) -> tuple[int, tuple[int, ...]]:
         1 + delta * a_i = sum_{j != i} rho_j a_j,
 
     chosen lexicographically smallest among witnesses.  Exists because
-    gcd of the entries is 1.
-    """
+    gcd of the entries is 1.  One Apéry table of the others tests each delta."""
     if A.gcd != 1:
         raise InvalidInputError("minimal_delta needs gcd of entries 1")
     if not 0 <= i < A.n:
         raise InvalidInputError("column index out of range")
-    others = tuple(a for j, a in enumerate(A.entries) if j != i)
-    ai = A.entries[i]
-    delta = 0
-    while True:
-        w = semigroup_contains(others, 1 + delta * ai)
-        if w is not None:
-            return delta, w[:i] + (0,) + w[i:]
-        delta += 1
+    t, member, witness = _semigroup(A.entries[:i] + A.entries[i + 1:], 1)
+    while not member(t):
+        t += A.entries[i]
+    rho = witness(t)
+    return (t - 1) // A.entries[i], rho[:i] + (0,) + rho[i:]
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,10 @@ def test_exit_codes(capsys):
                   '[{"k":true,"m":0,"coeff":"1"}]', '[{"k":0,"m":2.0,"coeff":"1"}]']:
         code, _, err = run(capsys, "solve-ext1", "-A", "2,3", "-b", "1", "--f", bad_f)
         assert code == 2 and err.startswith("error:"), bad_f
+    # a repeated index is refused, not overwritten by its last coefficient
+    code, out, err = run(capsys, "solve-ext1", "-A", "2,3", "-b", "1", "--f",
+                         '[{"k":0,"m":0,"coeff":"1"},{"k":0,"m":0,"coeff":"2"}]')
+    assert code == 2 and out == "" and "repeats the index k=0, m=0" in err
     code, _, err = run(capsys, "solve-ext1", "-A", "2,3", "-b", "1", "--terms", "-3")
     assert code == 2 and err.startswith("error:")
     for cmd in ("series", "verify"):
@@ -316,7 +320,8 @@ def test_term_cap_refuses_by_request_size_before_the_walk(capsys):
 
 
 def test_membership_answers_above_the_term_cap(capsys, monkeypatch):
-    # one membership bit, from the Frobenius bound, whatever the size of beta
+    # one membership bit, from an Apéry table of min(A) entries, whatever the
+    # size of beta
     for matrix in ("2,3", "3,4,5"):
         data = run_json(capsys, "dims", "-A", matrix, "-b", "2000001")
         assert data["beta_class"] == "special", matrix
@@ -328,6 +333,25 @@ def test_membership_answers_above_the_term_cap(capsys, monkeypatch):
     monkeypatch.setenv("GKZ_TERM_CAP", "1000")
     data = run_json(capsys, "exponents", "-A", "1,2,3,5", "-b", "-1")
     assert all(e["exact_check"] for e in data["singular"] + data["generic"])
+
+
+def test_membership_term_cap_bounds_the_least_entry(capsys):
+    # the Apéry table of (1000 1000001) has 1,000 entries, whatever beta is
+    data = run_json(capsys, "dims", "-A", "1000,1000001", "-b", "1000001", "-s", "2")
+    assert data["beta_class"] == "special"
+    # a beta below the least entry needs no table: only 0 lies there
+    data = run_json(capsys, "dims", "-A", "1000001,1000002", "-b", "5", "-s", "2")
+    assert data["beta_class"] == "generic"
+    # membership reads the table of all of A, 2 entries here; the walk's
+    # table of (2000003 2000005) would exceed the cap
+    data = run_json(capsys, "dims", "-A", "2,2000003,2000005", "-b", "3000000", "-s", "2")
+    assert data["beta_class"] == "special"
+    # 1,000,001 entries exceed the default cap: refused before the table is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "dims", "-A", "1000001,1000002", "-b", "1000004000002",
+                         "-s", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and "resource" in err
 
 
 def test_term_cap_refuses_exponent_lists_and_polynomials(capsys, monkeypatch):

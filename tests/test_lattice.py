@@ -1,8 +1,9 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gkzcurve.errors import InvalidInputError, ResourceLimitError
 from gkzcurve.lattice import (
@@ -154,22 +155,95 @@ def test_semigroup_witness_is_lex_smallest(gens, target):
     assert semigroup_contains(gens, target) == lex_smallest_witness(tuple(gens), target)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.integers(1, 12), min_size=1, max_size=4), st.data())
-def test_in_semigroup_matches_dp(gens, data):
-    schur = (min(gens) - 1) * (max(gens) - 1)
-    target = data.draw(st.integers(-5, schur + 30))
-    assert in_semigroup(gens, target) == (semigroup_contains(gens, target) is not None)
+def dp_semigroup_contains(gens, target):
+    """The lexicographically smallest witness by a bitset DP as long as the
+    target: bit t of reach[k] is set iff t is a sum of gens[k:], and reach[k]
+    closes reach[k + 1] under adding g_k by shifts of g_k, 2 g_k, 4 g_k, ..."""
+    if target < 0:
+        return None
+    mask = (1 << (target + 1)) - 1
+    reach = [1]
+    for g in reversed(gens):
+        bits, step = reach[-1], g
+        while step <= target:
+            bits |= (bits << step) & mask
+            step *= 2
+        reach.append(bits)
+    reach.reverse()
+    if not reach[0] >> target & 1:
+        return None
+    counts, t = [], target
+    for k, g in enumerate(gens):
+        c = 0
+        while not reach[k + 1] >> (t - c * g) & 1:
+            c += 1
+        counts.append(c)
+        t -= c * g
+    return tuple(counts)
+
+
+@st.composite
+def semigroup_cases(draw):
+    """1-5 unsorted generators in 1..40, possibly repeated; gens[k:] share the
+    factor f, so the whole list (k = 0) or a suffix may have gcd > 1."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+    f = draw(st.integers(1, 5))
+    gens = [draw(st.integers(1, 40)) for _ in range(k)]
+    gens += [f * draw(st.integers(1, 40 // f)) for _ in range(n - k)]
+    return gens, draw(st.integers(-5, 600))
+
+
+@settings(max_examples=400, deadline=None)
+@given(semigroup_cases())
+@example(([6, 6, 4], 16))
+@example(([7, 4, 6, 6], 9))
+@example(([12, 8, 20], 600))
+@example(([40, 39, 40], 599))
+@example(([1], -5))
+def test_semigroup_matches_the_dp_oracle(case):
+    gens, target = case
+    want = dp_semigroup_contains(tuple(gens), target)
+    assert semigroup_contains(gens, target) == want
+    assert in_semigroup(gens, target) == (want is not None)
+
+
+def test_semigroup_rejects_non_integers():
+    for gens, target in [((2, 3), 5.5), ((2.5, 3), 5), ((2, 3), Fraction(7, 2)),
+                         ((2, Fraction(3, 2)), 6), ((2, 3), "5")]:
+        with pytest.raises(InvalidInputError):
+            semigroup_contains(gens, target)
+        with pytest.raises(InvalidInputError):
+            in_semigroup(gens, target)
+    # values equal to integers are taken as those integers
+    assert semigroup_contains((2.0, Fraction(3)), 7.0) == (2, 1)
+
+
+def test_semigroup_answers_targets_of_any_size():
+    t = 10**12
+    witness = semigroup_contains((3, 5, 7), t)
+    assert witness_ok((3, 5, 7), t, witness)
+    # lex smallest: every t >= 24 lies in <5, 7>, so c_1 = 0; c_2 is the least
+    # c with 7 | t - 5 c, and c_3 = (t - 5 c_2) / 7
+    c2 = min(c for c in range(7) if (t - 5 * c) % 7 == 0)
+    assert witness == (0, c2, (t - 5 * c2) // 7)
+    assert in_semigroup((4, 6), t + 2) and not in_semigroup((4, 6), t + 1)
 
 
 def test_in_semigroup_answers_above_the_term_cap(monkeypatch):
+    # the cap bounds the Apéry table, min(g) / gcd(g) entries, not the target
     monkeypatch.setenv("GKZ_TERM_CAP", "100")
     assert in_semigroup((2, 3), 10**7 + 1)
     assert in_semigroup((3, 4, 5), 101)
+    assert in_semigroup((4, 6), 102) and not in_semigroup((4, 6), 103)
     assert not in_semigroup((2, 3), -1)
-    # without gcd 1 there is no Frobenius bound: the DP and its cap decide
     with pytest.raises(ResourceLimitError):
-        in_semigroup((4, 6), 102)
+        in_semigroup((101, 103), 300)
+    # membership needs the table of (2 101 103) alone, not the one of
+    # (101 103) that the witness walk would build
+    assert in_semigroup((2, 101, 103), 300)
+    with pytest.raises(ResourceLimitError):
+        semigroup_contains((2, 101, 103), 300)
     with pytest.raises(InvalidInputError):
         in_semigroup((0, 2), 3)
 
@@ -186,8 +260,14 @@ def test_semigroup_edge_cases():
 
 def test_semigroup_term_cap(monkeypatch):
     monkeypatch.setenv("GKZ_TERM_CAP", "100")
+    assert semigroup_contains((2, 3), 101) == (1, 33)
+    # a table of 101 entries is refused
     with pytest.raises(ResourceLimitError):
-        semigroup_contains((2, 3), 101)
+        semigroup_contains((101, 103), 300)
+    # remainders below the least of (10^7, 10^7 + 1) need no table
+    assert semigroup_contains((2, 10**7, 10**7 + 1), 4) == (2, 0, 0)
+    # a target below the least generator needs none either
+    assert semigroup_contains((101, 103), 100) is None
     monkeypatch.setenv("GKZ_TERM_CAP", "bogus")
     with pytest.raises(InvalidInputError):
         semigroup_contains((2, 3), 5)
@@ -228,6 +308,21 @@ def test_minimal_delta_witness_is_lex_smallest():
             others = tuple(a for j, a in enumerate(entries) if j != i)
             want = lex_smallest_witness(others, 1 + delta * entries[i])
             assert rho == want[:i] + (0,) + want[i:]
+
+
+@pytest.mark.parametrize("entries", [(2, 3), (3, 4, 5), (2, 5, 7), (3, 5, 7), (3, 5, 11),
+                                     (5, 7, 9), (3, 10, 17), (4, 6, 9, 11),
+                                     (1000, 1001, 1003), (1, 2, 5), (1, 4, 6, 9)])
+def test_minimal_delta_matches_the_dp_oracle(entries):
+    A = curve_matrix(entries)
+    for i in range(A.n):
+        others = tuple(a for j, a in enumerate(entries) if j != i)
+        delta = 0
+        while (want := dp_semigroup_contains(others, 1 + delta * entries[i])) is None:
+            delta += 1
+        assert minimal_delta(A, i) == (delta, want[:i] + (0,) + want[i:])
+    if entries == (1000, 1001, 1003):
+        assert minimal_delta(A, 2)[0] == 333
 
 
 # ---------------------------------------------------------------------------
