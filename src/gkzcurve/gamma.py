@@ -143,22 +143,23 @@ def _gamma_terms(p: Sequence[int], q: Sequence[int], z: Sequence[int],
 
 
 def _box_gamma_terms(A: CurveMatrix, v: Sequence[int],
-                     box: Sequence[tuple[int, Optional[int]]]) -> dict[tuple[int, ...], Fraction]:
-    """Gamma[v; x - v], keyed by x - v, for an integer v and every integer x
-    with A.x = A.v and lo_i <= x_i <= hi_i, box_i = (lo_i, hi_i) (hi_i None:
-    unbounded), a box in v + N_v where each x_i keeps one sign: lo_i >= 0 or
-    hi_i <= -1.  The walk negates the x_i with hi_i <= -1, as delta_j_set
-    its pivot, so its term-cap count is unsigned, and A.x = A.v bounds its
-    weight-A budget sum_i a_i |x_i| by A.v - 2 sum_{hi_i < 0} a_i lo_i."""
-    sign = [-1 if hi is not None and hi < 0 else 1 for _, hi in box]
+                     box: Sequence[tuple[int, Optional[int]]],
+                     origin: Optional[Sequence[int]] = None) -> dict[tuple[int, ...], Fraction]:
+    """Gamma[v; x - v], keyed by x - origin (origin None: v), for an integer
+    v and every integer x with A.x = A.v and lo_i <= x_i <= hi_i,
+    box_i = (lo_i, hi_i) (hi_i None: unbounded), a box in v + N_v where each
+    x_i keeps one sign: lo_i >= 0 or hi_i <= -1.  So the walk's term-cap
+    count is unsigned, and A.x = A.v bounds its weight-A budget
+    sum_i a_i |x_i| by A.v - 2 sum_{hi_i < 0} a_i lo_i."""
     beta = A.dot(v)
-    budget = beta - 2 * sum(a * lo for a, (lo, _), s in zip(A.entries, box, sign) if s < 0)
-    lower, upper = zip(*[(lo, hi) if s > 0 else (-hi, -lo) for s, (lo, hi) in zip(sign, box)])
-    z, runs = _lattice_runs([s * a for s, a in zip(sign, A.entries)], beta, A.entries,
-                            budget, lower, upper)
-    return _gamma_terms(v, [1] * A.n, [s * k for s, k in zip(sign, z)],
-                        [(tuple(s * y - x for s, y, x in zip(sign, ys, v)), count)
-                         for ys, count in runs])
+    budget = beta - 2 * sum(a * lo for a, (lo, hi) in zip(A.entries, box) if (hi or 0) < 0)
+    z, runs = _lattice_runs(A.entries, beta, A.entries, budget, *zip(*box))
+    terms = _gamma_terms(v, [1] * A.n, z, [(tuple(a - b for a, b in zip(x, v)), count)
+                                           for x, count in runs])
+    if origin is None:
+        return terms
+    shift = [a - b for a, b in zip(v, origin)]
+    return {tuple(a + b for a, b in zip(u, shift)): c for u, c in terms.items()}
 
 
 def gamma_series(v, system: HypergeometricSystem,

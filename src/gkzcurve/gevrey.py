@@ -139,52 +139,40 @@ def gevrey_index_estimate(f: TruncatedSeries, var: int, min_terms: int = 8,
 
 
 def _least_squares(d: list[float], y: list[float]) -> tuple[float, float]:
-    """(alpha, stderr) of the fit y ~ alpha d ln d + gamma d + delta ln d + mu,
+    """(alpha, stderr) of the fit y ~ gamma d + delta ln d + mu + alpha d ln d,
     solved exactly.  Scaled by one power of two, every float point is an
-    integer, so the Gram matrix G of the columns (d ln d, d, ln d, 1, y) is
-    integer; the scale cancels from alpha and the stderr.  With N the normal
-    matrix (G without row and column y) and r the y column, Cramer's rule
-    gives alpha = det(N, column 0 -> r) / det N and (N^-1)_00 =
-    det N_00 / det N, and the residual sum of squares is det G / det N:
-    the same rationals as the solve over the rationals."""
+    integer, so the Gram matrix G of the columns (d, ln d, 1, d ln d, y) is
+    integer; the scale cancels from alpha and the stderr.  One Bareiss pass
+    over G, without row swaps, leaves in entry (p, j >= p) the minor of rows
+    0..p and columns 0..p-1, j, every division exact.  With N the normal
+    matrix (G without row and column y), that is det N at (3, 3), det N with
+    alpha's column replaced by the y column at (3, 4), alpha's cofactor at
+    (2, 2) and det G at (4, 4): Cramer's rule gives alpha, (N^-1)_33 and the
+    residual sum of squares det G / det N, the same rationals as the solve
+    over the rationals.  N is a Gram matrix, so a zero among its pivots
+    (0, 0)..(3, 3) means N is singular."""
     ln = [math.log(di) for di in d]
     ratios = [x.as_integer_ratio()
-              for x in [di * li for di, li in zip(d, ln)] + d + ln + [1.0] * len(d) + y]
+              for x in d + ln + [1.0] * len(d) + [di * li for di, li in zip(d, ln)] + y]
     e = max(den.bit_length() for _, den in ratios)
     ints = [num << (e - den.bit_length()) for num, den in ratios]
     k = len(d)  # points
     cols = [ints[i * k:(i + 1) * k] for i in range(5)]
     G = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
-    N = [row[:4] for row in G[:4]]
-    det_n = _det(N)
-    if det_n == 0:
-        raise InvalidInputError(
-            "singular normal equations: too few distinct diagonal points to fit"
-        )
-    alpha = Fraction(_det([[G[i][4]] + N[i][1:] for i in range(4)]), det_n)
-    inv00 = Fraction(_det([row[1:] for row in N[1:]]), det_n)
-    rss = Fraction(_det(G), det_n)
-    return float(alpha), math.sqrt(float(rss / max(k - 4, 1) * inv00))
-
-
-def _det(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination, in which every division is exact."""
-    m = [list(row) for row in m]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    prev = 1
+    for p in range(4):
+        piv = G[p][p]
+        if piv == 0:
+            raise InvalidInputError(
+                "singular normal equations: too few distinct diagonal points to fit"
+            )
+        for i in range(p + 1, 5):
+            for j in range(p + 1, 5):
+                G[i][j] = (G[i][j] * piv - G[i][p] * G[p][j]) // prev
+        prev = piv
+    det_n = G[3][3]
+    alpha, inv33, rss = (Fraction(m, det_n) for m in (G[3][4], G[2][2], G[4][4]))
+    return float(alpha), math.sqrt(float(rss / max(k - 4, 1) * inv33))
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ gcd 1.  Its family tag follows from the entries:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
 
@@ -122,14 +123,14 @@ def homogenize_matrix(A: CurveMatrix) -> CurveMatrix:
 # numerical semigroup membership
 
 
-def _apery(gens: tuple[int, ...]) -> tuple[int, int, list]:
+def _apery(gens: tuple[int, ...], cap: Callable[[], int]) -> tuple[int, int, list]:
     """(d, m, table) for S = sum_i N g_i: d = gcd(g), m = min(g) / d, table[r]
     the least element of S / d congruent to r mod m (the Apéry set), so t is in
     S iff d | t and t / d >= table[t / d mod m].  Filled in O(k m) by the round
-    robin of Böcker & Lipták (Algorithmica 48, 2007); m past the term cap raises."""
+    robin of Böcker & Lipták (Algorithmica 48, 2007); m past cap() raises."""
     d = math.gcd(*gens)
     m = min(gens) // d
-    if m > 1 and m > term_cap():  # the one-entry table [0] fits any cap
+    if m > 1 and m > cap():  # the one-entry table [0] fits any cap
         raise ResourceLimitError(f"an Apery table of {m} entries exceeds the term cap")
     table = [0] + [math.inf] * (m - 1)
     for a in (g // d for g in gens if g // d % m):
@@ -147,17 +148,18 @@ def _semigroup(generators: Sequence[int], target: int):
     """(int target, member, witness): member(t, k) tells if t is in S_k =
     sum_{i >= k} N g_i; witness(t) is semigroup_contains for t in S_0.  S_k's
     Apéry table is built once, when a t >= min(gens[k:]) first asks for it
-    (only 0 lies below).  Inputs not equal to integers raise InvalidInputError."""
+    (only 0 lies below), and the term cap is read once, by the first table of
+    more than one entry.  Inputs not equal to integers raise InvalidInputError."""
     raw = tuple(generators)
     gens, t = tuple(map(int, raw)), int(target)
     if not gens or min(gens) <= 0 or gens != raw or t != target:
         raise InvalidInputError("semigroup generators must be positive integers, targets integers")
-    low, tables = [min(gens[k:]) for k in range(len(gens))], {}
+    low, tables, cap = [min(gens[k:]) for k in range(len(gens))], {}, functools.cache(term_cap)
 
     def member(t: int, k: int = 0) -> bool:
         if t < low[k]:
             return t == 0
-        d, m, table = tables.get(k) or tables.setdefault(k, _apery(gens[k:]))
+        d, m, table = tables.get(k) or tables.setdefault(k, _apery(gens[k:], cap))
         return t % d == 0 and t // d >= table[t // d % m]
 
     def witness(t: int) -> tuple[int, ...]:  # for a member t
@@ -240,9 +242,10 @@ def _lattice_points(coeffs: Sequence[int], rhs: int, weight: Sequence[int], boun
     run: a first point, a count, and the step
     z = (-c_{n-1} s / c_0, 0, ..., 0, s).  ResourceLimitError is raised
     before the walk when the ball of the coordinates among 1..n-1 that the
-    clipped bounds leave open (over x >= 0 when every lower_i >= 0 there),
-    at radius bound // their least weight, an upper bound on the request,
-    holds more points than the term cap.
+    clipped bounds leave open, at radius bound // their least weight, an
+    upper bound on the request, holds more points than the term cap.  The
+    ball is the one over N^d when the bounds keep each open coordinate in
+    one sign class of N_v, lower_i >= 0 or upper_i <= -1, and over Z^d else.
     """
     z, runs = _lattice_runs(coeffs, rhs, weight, bound, lower, upper)
     return sorted(tuple(a + k * b for a, b in zip(x, z)) for x, count in runs
@@ -263,9 +266,10 @@ def _lattice_runs(coeffs: Sequence[int], rhs: int, weight: Sequence[int], bound:
     lo = [-(bound // w) if b is None else max(b, -(bound // w)) for b, w in zip(lower, weight)]
     hi = [bound // w if b is None else min(b, bound // w)
           for b, w in zip(upper or [None] * n, weight)]
-    open_w = [w for w, a, b in zip(weight[1:], lo[1:], hi[1:]) if a < b]
-    signed = any(b is None or b < 0 for b in lower[1:])
-    if _ball_count(len(open_w), bound // min(open_w, default=1), signed) > term_cap():
+    open_ = [(w, a, b) for w, a, b in zip(weight[1:], lo[1:], hi[1:]) if a < b]
+    signed = any(a < 0 <= b for _, a, b in open_)
+    if _ball_count(len(open_), bound // min((w for w, _, _ in open_), default=1),
+                   signed) > term_cap():
         raise ResourceLimitError("lattice enumeration exceeds the term cap")
     c0, w0 = coeffs[0], weight[0]
     if n == 1:

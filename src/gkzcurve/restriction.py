@@ -27,12 +27,7 @@ from typing import Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
 from .gamma import _box_gamma_terms, _exponent_axes, lift, modified_exponent
-from .lattice import (
-    curve_matrix,
-    homogenize_matrix,
-    minimal_delta,
-    term_cap,
-)
+from .lattice import curve_matrix, homogenize_matrix, term_cap
 from .rationals import as_rational, falling_product, format_rational
 from .series import TruncatedSeries, TruncationFrontier, WeylOperator, apply_operator
 from .system import build_system
@@ -62,10 +57,12 @@ class Homogenization:
 
 def homogenize(A, beta) -> Homogenization:
     """Homogenize a general matrix and assemble the A'-system for beta."""
-    A = curve_matrix(A)
-    Ah = homogenize_matrix(A)
-    deltas, rhos = zip(*(minimal_delta(A, i) for i in range(A.n)))
-    return Homogenization(Ah, build_system(Ah, beta), deltas, rhos)
+    Ah = homogenize_matrix(curve_matrix(A))
+    system = build_system(Ah, beta)
+    # Q_i in normal form: d^(0, rho_i) first, then d_0 d_{i+1}^{delta_i}
+    deltas, rhos = zip(*((plus[i + 1], minus[1:]) for i, ((_, _, minus), (_, _, plus))
+                         in enumerate(op.terms for op in system.extra)))
+    return Homogenization(Ah, system, deltas, rhos)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +317,8 @@ def ext1_generator(A, beta) -> TruncatedSeries:
     box = [(0, None)] * n
     box[solved] = (-ent[free], -1)
     base = vt[:free] + [0] + vt[free + 1:]
-    rebased = {u[:free] + (u[free] + vt[free],) + u[free + 1:]: c
-               for u, c in _box_gamma_terms(A, vt, box).items()}
-    slab = TruncatedSeries(base, rebased, TruncationFrontier.uniform(n, 0), exact=True)
+    slab = TruncatedSeries(base, _box_gamma_terms(A, vt, box, base),
+                           TruncationFrontier.uniform(n, 0), exact=True)
     P = system.toric[n - 3]  # toric[-1], the only one, for a plane matrix
     image = apply_operator(WeylOperator(n, [t for t in P.terms if t[2][free]]), slab).terms
     span = max(sum(map(abs, u)) for u in image) + 1

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction as F
 
@@ -8,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from gkzcurve.errors import InvalidInputError
 from gkzcurve.gamma import gamma_series, singular_exponents
 from gkzcurve.gevrey import (
-    _det,
     _diagonal_direction,
     _least_squares,
     dimension_table,
@@ -127,26 +125,6 @@ def test_integer_fit_matches_fraction_solve_on_random_points(degrees, data):
     assert _least_squares(d, y) == least_squares_fraction(d, y)
 
 
-def det_leibniz(m):
-    """Determinant as the signed sum over permutations (test oracle)."""
-    n = len(m)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
-    return total
-
-
-ENTRY = st.integers(-3, 3) | st.integers(-2**100, 2**100)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5).flatmap(
-    lambda n: st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)))
-def test_bareiss_det_matches_leibniz(m):
-    assert _det(m) == det_leibniz(m)
-
-
 def diagonal_direction_by_family(A, var):
     """The two-branch growth diagonal that the one formula of
     _diagonal_direction replaced (test oracle)."""
@@ -210,6 +188,11 @@ def test_gevrey_estimate_insufficient_terms():
     f, system = singular_series((2, 3), 1, 1, 10)
     with pytest.raises(InvalidInputError, match="singular normal equations"):
         gevrey_index_estimate(f, 1, min_terms=0, matrix=system.matrix)
+    # nor can 4 or 5 points on one, two or three distinct degrees: the
+    # pivot of ln d, of 1 or of d ln d is the first zero one
+    for d in ([3.0] * 5, [2.0, 2.0, 5.0, 5.0], [2.0, 2.0, 3.0, 3.0, 4.0]):
+        with pytest.raises(InvalidInputError, match="singular normal equations"):
+            _least_squares(d, [float(i * i) for i in range(len(d))])
 
 
 def test_gevrey_estimate_rejects_negative_min_terms():

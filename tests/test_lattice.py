@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gkzcurve import lattice
 from gkzcurve.errors import InvalidInputError, ResourceLimitError
 from gkzcurve.lattice import (
     CurveMatrix,
@@ -273,6 +274,25 @@ def test_semigroup_term_cap(monkeypatch):
         semigroup_contains((2, 3), 5)
 
 
+def test_semigroup_query_reads_the_term_cap_once(monkeypatch):
+    reads = []
+    monkeypatch.setattr(lattice, "term_cap", lambda: reads.append(1) or 10**6)
+    A = curve_matrix((4, 5, 6, 7))
+    # the witness walk of (4 5 6 7) builds the tables of (4 5 6 7), (5 6 7)
+    # and (6 7), and minimal_delta several more; one query reads the cap once
+    for t in range(4, 40):
+        reads.clear()
+        semigroup_contains(A.entries, t)
+        assert len(reads) == 1
+    for i in range(A.n):
+        reads.clear()
+        minimal_delta(A, i)
+        assert len(reads) == 1
+    # a target below every generator needs no table and reads no cap
+    reads.clear()
+    assert semigroup_contains(A.entries, 3) is None and not reads
+
+
 # ---------------------------------------------------------------------------
 # minimal delta
 
@@ -470,6 +490,20 @@ def test_term_cap_counts_the_request_not_the_output(monkeypatch):
     # mirrors the x >= 0 walk above, yet the signed ball is counted
     with pytest.raises(ResourceLimitError):
         _lattice_points(coeffs, 6, weight, 6, [0] + [None] * 3, [None] + [0] * 3)
+
+
+def test_term_cap_counts_a_negative_box_over_n(monkeypatch):
+    # x_1, x_2, x_3 in [-6, -1] keep one sign class of N_v, as x >= 0 does:
+    # the request is the ball over N^3, C(6 + 3, 3) points, not the signed one
+    coeffs, weight = (1, 1, 1, 1), (1, 1, 1, 1)
+    box = ([None] + [-6] * 3, [None] + [-1] * 3)
+    monkeypatch.setenv("GKZ_TERM_CAP", str(_ball_count(3, 6, False)))
+    # x_0 = s - 6 with s = |x_1| + |x_2| + |x_3|, so |x|_1 = 6 for every s <= 6
+    assert _lattice_points(coeffs, -6, weight, 6, *box) == sorted(
+        (-sum(x) - 6, *x) for x in itertools.product(range(-6, 0), repeat=3) if sum(x) >= -6)
+    monkeypatch.setenv("GKZ_TERM_CAP", str(_ball_count(3, 6, False) - 1))
+    with pytest.raises(ResourceLimitError):
+        _lattice_points(coeffs, -6, weight, 6, *box)
 
 
 # ---------------------------------------------------------------------------

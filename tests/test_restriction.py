@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkzcurve import lattice
 from gkzcurve.errors import InvalidInputError
 from gkzcurve.gamma import gamma_series, lift, modified_series, singular_exponents
-from gkzcurve.lattice import curve_matrix, homogenize_matrix
+from gkzcurve.lattice import curve_matrix, homogenize_matrix, minimal_delta
 from gkzcurve.rationals import log_abs
 from gkzcurve.restriction import (
     b_function_1kakb,
@@ -37,6 +38,19 @@ def test_homogenize_data():
     # 1 + 3 = 4, 1 + 4 = 5, 1 + 5 = 2*3
     assert hom.rhos == ((0, 1, 0), (0, 0, 1), (2, 0, 0))
     assert len(hom.system.extra) == 3
+
+
+@pytest.mark.parametrize("entries", [(3, 4, 5), (4, 5, 6, 7), (6, 7, 8, 9, 10), (10, 11, 13, 17)])
+def test_homogenize_searches_each_delta_once(entries, monkeypatch):
+    # every minimal_delta call opens one semigroup query; homogenize reads
+    # (delta_i, rho_i) back off the Q_i of build_system, which ran them
+    calls = []
+    semigroup = lattice._semigroup
+    monkeypatch.setattr(lattice, "_semigroup", lambda *a: calls.append(a) or semigroup(*a))
+    hom = homogenize(entries, 1)
+    assert len(calls) == len(entries)
+    A = curve_matrix(entries)
+    assert list(zip(hom.deltas, hom.rhos)) == [minimal_delta(A, i) for i in range(A.n)]
 
 
 def test_homogenize_rejects_non_general():
