@@ -15,7 +15,6 @@ import sys
 
 from .errors import InvalidInputError, ResourceLimitError
 from .gamma import (
-    gamma_series,
     generic_exponents,
     has_minimal_nsupp,
     lift,
@@ -91,12 +90,12 @@ def cmd_exponents(args):
 
 def _series(args):
     """(A, system, f): the user's matrix, the system of lift(A), and the
-    series that ``--point`` and ``--index`` ask for, expanded on that system
-    and brought down to A.  A modified series needs A to be its own lift."""
+    solution on A that ``--point`` and ``--index`` ask for, built by lift's
+    series builder.  A modified series needs A to be its own lift."""
     A, beta = _matrix(args.matrix), parse_rational(args.beta)
     if args.bound < 0:
         raise InvalidInputError("--bound must be nonnegative")
-    lifted, down = lift(A)
+    lifted, series = lift(A)
     if args.point == "modified" and lifted is not A:
         raise InvalidInputError(
             "modified series of a general matrix lives on the homogenized system")
@@ -107,7 +106,7 @@ def _series(args):
     vs = _EXPONENTS[args.point](system)
     if not 0 <= args.index < len(vs):
         raise InvalidInputError(f"index {args.index} out of range for {args.point} exponents")
-    return A, system, down(gamma_series(vs[args.index], system, frontier))
+    return A, system, series(vs[args.index], system, frontier)
 
 
 def cmd_series(args):

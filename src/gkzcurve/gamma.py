@@ -19,9 +19,9 @@ Exponent menagerie per family (indices 0-based in code):
 * smooth (1 a_2 .. a_n):
                  singular  v^j = (j, 0,.., (beta-j)/a_{n-1}, 0),  j < a_{n-1}
                  generic   w^j = (j, 0,..,0, (beta-j)/a_n),       j < a_n
-* general:       exponents of the homogenized matrix (1 a_1 .. a_n), to be
-                 restricted to x_0 = 0 afterwards (generic-parameter facts);
-                 :func:`lift` returns that matrix and that restriction.
+* general:       exponents of the homogenized matrix (1 a_1 .. a_n), whose
+                 series are walked on their x_0 = 0 slice only (generic-parameter
+                 facts); :func:`lift` returns that matrix and that series builder.
 
 When beta lies in the semigroup N A there is additionally a *modified*
 exponent vtilde: the unique lattice translate of the polynomial exponent
@@ -32,6 +32,7 @@ that exceptional image is the Ext^1 witness used in the restriction module.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -180,20 +181,27 @@ def gamma_series(v, system: HypergeometricSystem,
     Fraction by a ratio of |z_0| + |z_{n-1}| small linear factors, which
     costs gcds of a big and a small integer, not of two big ones.
     """
-    v = as_rational_vector(v)
-    A = system.matrix
+    v = _checked_exponent(v, system, frontier)
+    return TruncatedSeries(v, _series_terms(system.matrix.entries, v, 0, frontier.bound), frontier)
+
+
+def _checked_exponent(v, system: HypergeometricSystem, frontier: TruncationFrontier):
+    v, A = as_rational_vector(v), system.matrix
     if len(v) != A.n:
         raise InvalidInputError("exponent dimension mismatch")
     if A.dot(v) != system.beta:
         raise InvalidInputError(f"A.v = {A.dot(v)} differs from beta = {system.beta}")
     if frontier.n != A.n:
         raise InvalidInputError("frontier dimension mismatch")
+    return v
+
+
+def _series_terms(entries, v, rhs: int, bound: int) -> dict[tuple[int, ...], Fraction]:
+    """Gamma[v; u] on the box of N_v (see gamma_series) where entries.u = rhs, |u|_1 <= bound."""
     p, q = [x.numerator for x in v], [x.denominator for x in v]
     lower = [-a if b == 1 and a >= 0 else None for a, b in zip(p, q)]
     upper = [-a - 1 if b == 1 and a < 0 else None for a, b in zip(p, q)]
-    terms = _gamma_terms(p, q, *_lattice_runs(A.entries, 0, (1,) * A.n, frontier.bound,
-                                              lower, upper))
-    return TruncatedSeries(v, terms, frontier)
+    return _gamma_terms(p, q, *_lattice_runs(entries, rhs, (1,) * len(v), bound, lower, upper))
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +341,22 @@ def restrict_series_x0(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(f.base[1:], terms, frontier, f.exact)
 
 
-def lift(A: CurveMatrix) -> tuple[CurveMatrix, Callable[[TruncatedSeries], TruncatedSeries]]:
-    """(A', down): the matrix whose Gamma series solve for A, and the map that
-    brings such a series back to A.  A general matrix is homogenized and its
-    series restricted to x_0 = 0; any other matrix is its own lift."""
+def _x0_slice(v, system: HypergeometricSystem, frontier: TruncationFrontier) -> TruncatedSeries:
+    """restrict_series_x0(gamma_series(v, system, frontier)) on (1 a_1 .. a_n), v_0 = j in N,
+    from its offsets (-j, u') alone: A.u' = j and Gamma[v; (-j, u')] = j! Gamma[v[1:]; u']."""
+    v = _checked_exponent(v, system, frontier)
+    if v[0].denominator != 1 or v[0] < 0:
+        raise InvalidInputError(f"x_0-exponent {v[0]} is not a nonnegative integer")
+    j, scale = int(v[0]), math.factorial(int(v[0]))
+    terms = _series_terms(system.matrix.entries[1:], v[1:], j, frontier.bound - j)
+    return TruncatedSeries(v[1:], {u: scale * c for u, c in terms.items()},
+                           TruncationFrontier(len(v) - 1, frontier.bound - j))
+
+
+def lift(A: CurveMatrix) -> tuple[CurveMatrix, Callable[..., TruncatedSeries]]:
+    """(A', series): the matrix whose Gamma series solve for A, and the builder
+    series(v, system of A', frontier on A') of A's solution at an exponent v of A':
+    :func:`_x0_slice` for a general A, which is homogenized, else gamma_series."""
     if A.family == "general":
-        return homogenize_matrix(A), restrict_series_x0
-    return A, lambda f: f
+        return homogenize_matrix(A), _x0_slice
+    return A, gamma_series

@@ -32,7 +32,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InvalidInputError, ResourceLimitError
-from .gamma import _beta_in_semigroup, _box_gamma_terms, _polynomial_exponent, lift
+from .gamma import (_beta_in_semigroup, _box_gamma_terms, _polynomial_exponent, lift,
+                    restrict_series_x0)
 from .lattice import CurveMatrix, curve_matrix, term_cap
 from .rationals import as_rational, log_abs
 from .series import TruncatedSeries, TruncationFrontier
@@ -368,8 +369,10 @@ def polynomial_solution(A, beta) -> Optional[tuple[int, TruncatedSeries]]:
         return None
     if beta > term_cap():
         raise ResourceLimitError(f"polynomial solution for beta = {beta} exceeds the term cap")
-    A, down = lift(A)
-    q, v = _polynomial_exponent(A, beta)
-    terms = _box_gamma_terms(A, [int(x) for x in v], [(0, None)] * A.n)
+    lifted = lift(A)[0]
+    q, v = _polynomial_exponent(lifted, beta)
+    terms = _box_gamma_terms(lifted, [int(x) for x in v], [(0, None)] * lifted.n)
     span = max((sum(abs(x) for x in u) for u in terms), default=0)
-    return q, down(TruncatedSeries(v, terms, TruncationFrontier.uniform(A.n, span), exact=True))
+    f = TruncatedSeries(v, terms, TruncationFrontier.uniform(lifted.n, span), exact=True)
+    # not lift's slice: its frontier would span the kept terms, not the whole lifted polynomial
+    return q, f if lifted is A else restrict_series_x0(f)

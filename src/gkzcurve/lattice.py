@@ -348,8 +348,8 @@ def delta_j_set(Aprime: CurveMatrix, j: int, degree_bound: int) -> list[tuple[in
         { m in N^n : sum_{i != n-1} a_i m_i = j + a_{n-1} m_{n-1} },
 
     listed for sum_i m_i <= degree_bound (0-based: the distinguished index
-    is n-2 in the base matrix).  It indexes the monomials that survive the
-    restriction of the j-th Gamma series to x_0 = 0.
+    is n-2 in the base matrix): with m_{n-1} negated, the support of gamma.lift's x_0 = 0
+    slice of A''s singular series j at beta = j - a_{n-1}, bound degree_bound + j.
     """
     if Aprime.family != "homogenized" or Aprime.base is None:
         raise InvalidInputError("delta_j_set needs a homogenized matrix")

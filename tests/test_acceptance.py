@@ -28,6 +28,7 @@ from gkzcurve import (
     polynomial_solution,
     recurrence_series,
     restrict_decomposition,
+    restrict_series_x0,
     semigroup_contains,
     series_equal,
     singular_exponents,
@@ -182,7 +183,7 @@ def test_criterion_6_bfunction_and_restriction():
 def test_criterion_7_homogenization_round_trip():
     start = time.perf_counter()
     A = curve_matrix((3, 4, 5))
-    Ah, down = lift(A)
+    Ah = lift(A)[0]
     upstairs, general = build_system(Ah, 0), build_system(A, 0)
     fr = TruncationFrontier.uniform(4, 40)
     count = 0
@@ -190,7 +191,7 @@ def test_criterion_7_homogenization_round_trip():
         f = gamma_series(v, upstairs, fr)
         assert all(r.annihilated
                    for r in verify_annihilation(upstairs.operators, f))
-        g = down(f)
+        g = restrict_series_x0(f)
         assert all(r.annihilated
                    for r in verify_annihilation(general.operators, g))
         count += 1

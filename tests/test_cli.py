@@ -229,6 +229,25 @@ def test_series_and_gevrey_index_build_only_the_lifted_system(capsys, monkeypatc
         run(capsys, "verify", "-A", "4,5,6,7", "-b", "1/2", "--bound", "10")
 
 
+@pytest.mark.parametrize("matrix, bound, terms", [("4,5,6,7", 60, 1067), ("4,5,6,7", 80, 2429),
+                                                  ("3,4,5", 400, 5144)])
+def test_general_matrix_series_walks_only_its_x0_slice(capsys, matrix, bound, terms):
+    # the walk of the whole lifted series exceeded the default term cap here
+    data = run_json(capsys, "series", "-A", matrix, "-b", "1/2", "--bound", str(bound))
+    assert len(data["terms"]) == terms and data["frontier"]["bound"] == bound
+
+
+def test_general_matrix_verify_and_refusals_past_the_slice(capsys):
+    ver = run_json(capsys, "verify", "-A", "4,5,6,7", "-b", "1/2", "--bound", "60")
+    assert len(ver["reports"]) == 672 and ver["all_annihilated"]
+    # the slice's own ball exceeds the cap: refused before the walk starts
+    for matrix, bound in (("4,5,6,7", "120"), ("3,4,5", "800")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "series", "-A", matrix, "-b", "1/2", "--bound", bound)
+        assert time.perf_counter() - start < 1.0, matrix
+        assert code == 3 and out == "" and "resource" in err, matrix
+
+
 @pytest.mark.parametrize("matrix", [(3, 4, 5), (4, 5, 6, 7)], ids=str)
 def test_general_matrix_exponents_checked_on_the_homogenization(capsys, matrix):
     data = run_json(capsys, "exponents", "-A", ",".join(map(str, matrix)), "-b", "2")

@@ -21,7 +21,7 @@ from gkzcurve.gamma import (
     restrict_series_x0,
     singular_exponents,
 )
-from gkzcurve.lattice import curve_matrix, enumerate_offsets, homogenize_matrix
+from gkzcurve.lattice import curve_matrix, delta_j_set, enumerate_offsets, homogenize_matrix
 from gkzcurve.series import TruncationFrontier, verify_annihilation
 from gkzcurve.system import HypergeometricSystem, build_system
 
@@ -290,16 +290,66 @@ def test_restrict_series_x0():
 
 def test_lift_homogenizes_only_a_general_matrix():
     A = curve_matrix((3, 4, 5))
-    Ah, down = lift(A)
-    assert Ah == homogenize_matrix(A) and down is restrict_series_x0
+    Ah, series = lift(A)
+    assert Ah == homogenize_matrix(A)
+    system, fr = build_system(Ah, F(1, 2)), TruncationFrontier.uniform(4, 20)
+    for v in singular_exponents(system):
+        want = restrict_series_x0(gamma_series(v, system, fr))
+        assert series(v, system, fr).to_json() == want.to_json()
     for entries in ((2, 3), (1, 2, 5)):
         system = build_system(entries, 1)
-        same, identity = lift(system.matrix)
-        assert same is system.matrix
-        f = gamma_series(singular_exponents(system)[0], system,
-                         TruncationFrontier.uniform(system.n, 10))
-        assert identity(f) is f
+        same, builder = lift(system.matrix)
+        assert same is system.matrix and builder is gamma_series
     assert lift(Ah)[0] is Ah
+
+
+@pytest.mark.parametrize("entries", [(3, 4, 5), (3, 5, 7), (5, 6, 7), (2, 5, 7), (4, 5, 6, 7),
+                                     (3, 4, 5, 7, 8)], ids=str)
+def test_lift_builder_matches_lift_then_restrict(entries):
+    # oracle: the whole lifted series, filtered to x_0 = 0 by restrict_series_x0
+    Ah, series = lift(curve_matrix(entries))
+    for beta in (F(0), F(7), F(-3), F(1, 2), F(5, 3)):
+        system = build_system(Ah, beta)
+        for v in singular_exponents(system) + generic_exponents(system):
+            j = int(v[0])
+            for bound in sorted({0, max(j - 1, 0), j, j + 3, 9}):
+                fr = TruncationFrontier.uniform(Ah.n, bound)
+                want = restrict_series_x0(gamma_series(v, system, fr))
+                assert series(v, system, fr).to_json() == want.to_json(), (beta, v, bound)
+
+
+def test_lift_builder_checks_its_input():
+    Ah, series = lift(curve_matrix((3, 4, 5)))
+    fr = TruncationFrontier.uniform(4, 10)
+    # the slice of an x_0-exponent outside N is not walked
+    for beta, v in ((F(1, 2), (F(1, 2), 0, 0, 0)), (F(2), (-1, 1, 0, 0))):
+        with pytest.raises(InvalidInputError, match="nonnegative integer"):
+            series(v, build_system(Ah, beta), fr)
+    # and it checks v, beta and the frontier as gamma_series does
+    system = build_system(Ah, 3)
+    for v, frontier, match in (((3, 0, 0), fr, "exponent dimension"),
+                               ((3, 1, 0, 0), fr, "differs from beta"),
+                               ((3, 0, 0, 0), TruncationFrontier.uniform(3, 10), "frontier")):
+        with pytest.raises(InvalidInputError, match=match):
+            series(v, system, frontier)
+
+
+@pytest.mark.parametrize("entries", [(3, 4, 5), (3, 5, 7), (4, 5, 6, 7), (2, 5, 7), (5, 6, 7),
+                                     (3, 4, 5, 7, 8)], ids=str)
+def test_delta_j_set_indexes_the_slice_of_singular_exponent_j(entries):
+    # Delta_j is the support of the slice of singular exponent j of A' at
+    # beta = j - A.entries[n - 2], bound D + j, with coordinate n - 2 negated
+    A = curve_matrix(entries)
+    Ah, series = lift(A)
+    pivot = A.n - 2
+    for j in range(A.entries[pivot]):
+        system = build_system(Ah, j - A.entries[pivot])
+        v = singular_exponents(system)[j]
+        for D in (0, 3, 8, 14):
+            f = series(v, system, TruncationFrontier.uniform(Ah.n, D + j))
+            support = sorted(tuple(-x if i == pivot else x for i, x in enumerate(u))
+                             for u in f.terms)
+            assert support == delta_j_set(Ah, j, D), (j, D)
 
 
 # ---------------------------------------------------------------------------

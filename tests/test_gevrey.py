@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction as F
 
@@ -361,6 +363,25 @@ def test_polynomial_solution_general_via_homogenization():
         assert apply_operator(op, f).is_zero()
     # 1, 2 are gaps of the semigroup <3,4,5>
     assert polynomial_solution((3, 4, 5), 2) is None
+
+
+# sha256 of the sorted JSON of the polynomial of a general matrix: its frontier
+# bound is the span of the whole lifted polynomial minus v_0, wider than the
+# span of the terms that the restriction keeps
+POLYNOMIAL_DIGESTS = {
+    ((3, 4, 5), 12): (15, 7, "a301af4a4a4c78803f171526eefe55e98dba0cd649a249de84debc8d89750224"),
+    ((3, 4, 5), 20): (25, 11, "c68091c8e17784920abcb4595d92fc132a6425cc107c0f5e83ccddbb18162d94"),
+    ((4, 5, 6, 7), 30): (35, 12, "cf1c04ec2b40ebfb902d427f40a5c2ec4dab6ba93ce9965c27b17649af3929ae"),
+}
+
+
+@pytest.mark.parametrize("entries, beta", list(POLYNOMIAL_DIGESTS), ids=str)
+def test_general_polynomial_solution_is_pinned(entries, beta):
+    bound, span, digest = POLYNOMIAL_DIGESTS[entries, beta]
+    q, f = polynomial_solution(entries, beta)
+    assert q == 0 and f.exact and f.frontier.bound == bound
+    assert max(sum(map(abs, u)) for u in f.terms) == span
+    assert hashlib.sha256(json.dumps(f.to_json(), sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_polynomial_solution_homogenized_matches_smooth():

@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from gkzcurve import lattice
 from gkzcurve.errors import InvalidInputError
-from gkzcurve.gamma import gamma_series, lift, modified_series, singular_exponents
+from gkzcurve.gamma import (
+    gamma_series,
+    lift,
+    modified_series,
+    restrict_series_x0,
+    singular_exponents,
+)
 from gkzcurve.lattice import curve_matrix, homogenize_matrix, minimal_delta
 from gkzcurve.rationals import log_abs
 from gkzcurve.restriction import (
@@ -60,14 +66,14 @@ def test_homogenize_rejects_non_general():
 
 def test_homogenized_round_trip_annihilation():
     A = curve_matrix((3, 4, 5))
-    Ah, down = lift(A)
+    Ah = lift(A)[0]
     upstairs, general = build_system(Ah, 0), build_system(A, 0)
     assert upstairs.operators == homogenize(A, 0).system.operators
     fr = TruncationFrontier.uniform(4, 24)
     for v in singular_exponents(general):
         f = gamma_series(v, upstairs, fr)
         assert all(r.annihilated for r in verify_annihilation(upstairs.operators, f))
-        restricted = down(f)
+        restricted = restrict_series_x0(f)
         assert all(
             r.annihilated for r in verify_annihilation(general.operators, restricted)
         )
