@@ -44,7 +44,7 @@ def main():
     for u, c in f.sorted_terms()[:6]:
         print(f"  offset {u}: {c}")
     # each coefficient is Gamma[v; u] = (v)_{u_-} / (v + u)_{u_+}
-    assert all(c == gamma_coefficient(v, u) for u, c in f.terms.items())
+    assert all(f.coefficient(u) == gamma_coefficient(v, u) for u in f.terms)
     ok = all(r.annihilated for r in verify_annihilation(system.operators, f))
     print("annihilated by the full system:", ok)
 

@@ -45,7 +45,7 @@ from .lattice import (
     in_semigroup,
     term_cap,
 )
-from .rationals import as_rational_vector, falling_product
+from .rationals import Pair, as_rational_vector, falling_product, reduced_pair
 from .series import TruncatedSeries, TruncationFrontier
 from .system import HypergeometricSystem
 
@@ -91,16 +91,16 @@ def has_minimal_nsupp(v, A) -> MinimalSupportResult:
     return MinimalSupportResult(not in_semigroup(A.entries, int(A.dot(v))), True)
 
 
-def _gamma_ratio(p: Sequence[int], q: Sequence[int], u: Sequence[int]) -> Fraction:
-    """Gamma[v; u] for v_i = p_i / q_i and u in N_v, from integers: u_i = -k
-    contributes (v_i)_k, u_i = k > 0 contributes 1 / (v_i + k)_k."""
+def _gamma_ratio(p: Sequence[int], q: Sequence[int], u: Sequence[int]) -> Pair:
+    """Gamma[v; u] as a reduced pair for v_i = p_i / q_i and u in N_v, from
+    integers: u_i = -k contributes (v_i)_k, u_i = k > 0 contributes 1 / (v_i + k)_k."""
     num = den = 1
     for pi, qi, k in zip(p, q, u):
         if k < 0:
             num, den = num * falling_product(pi, qi, -k), den * qi**-k
         elif k:
             num, den = num * qi**k, den * falling_product(pi + k * qi, qi, k)
-    return Fraction(num, den)
+    return reduced_pair(num, den)
 
 
 def gamma_coefficient(v, u) -> Fraction:
@@ -112,7 +112,7 @@ def gamma_coefficient(v, u) -> Fraction:
     p, q = [x.numerator for x in v], [x.denominator for x in v]
     if any(b == 1 and (a < 0) != (a + k < 0) for a, b, k in zip(p, q, u)):
         return Fraction(0)  # v + u gains or loses a negative integer coordinate
-    return _gamma_ratio(p, q, u)
+    return Fraction(*_gamma_ratio(p, q, u))
 
 
 def _ratio_step(p: int, q: int, k: int, m: int) -> tuple[int, int]:
@@ -124,30 +124,33 @@ def _ratio_step(p: int, q: int, k: int, m: int) -> tuple[int, int]:
 
 
 def _gamma_terms(p: Sequence[int], q: Sequence[int], z: Sequence[int],
-                 runs: Sequence[tuple[tuple[int, ...], int]]) -> dict[tuple[int, ...], Fraction]:
-    """Gamma[v; u] for v_i = p_i / q_i over the runs u, u + z, ... of
-    :func:`_lattice_runs`, every u in N_v: each run's first term from
-    :func:`_gamma_ratio`, every later one by one ratio step on the two
-    coordinates, 0 and n - 1, that z moves."""
+                 runs: Sequence[tuple[tuple[int, ...], int]]) -> dict[tuple[int, ...], Pair]:
+    """Gamma[v; u] as reduced pairs for v_i = p_i / q_i over the runs u, u + z,
+    ... of :func:`_lattice_runs`, every u in N_v: each run's first term from
+    :func:`_gamma_ratio`, every later one by one ratio step a/b on the two
+    coordinates, 0 and n - 1, that z moves: the pair is multiplied by the
+    reduced a/b as ``Fraction`` multiplies, through gcd(num, b) and gcd(a, den)."""
     p0, q0, d, pn, qn, s = p[0], q[0], z[0], p[-1], q[-1], z[-1]
     terms = {}
     for u, count in runs:
-        c = terms[u] = _gamma_ratio(p, q, u)
+        num, den = terms[u] = _gamma_ratio(p, q, u)
         u0, un, mid = u[0], u[-1], u[1:-1]
         for _ in range(count - 1):
             a, b = _ratio_step(p0, q0, u0, d)
             e, f = _ratio_step(pn, qn, un, s)
             u0 += d
             un += s
-            c = terms[(u0, *mid, un)] = c * Fraction(a * e, b * f)
+            a, b = reduced_pair(a * e, b * f)
+            g1, g2 = math.gcd(num, b), math.gcd(a, den)
+            terms[(u0, *mid, un)] = num, den = num // g1 * (a // g2), den // g2 * (b // g1)
     return terms
 
 
 def _box_gamma_terms(A: CurveMatrix, v: Sequence[int],
                      box: Sequence[tuple[int, Optional[int]]],
-                     origin: Optional[Sequence[int]] = None) -> dict[tuple[int, ...], Fraction]:
-    """Gamma[v; x - v], keyed by x - origin (origin None: v), for an integer
-    v and every integer x with A.x = A.v and lo_i <= x_i <= hi_i,
+                     origin: Optional[Sequence[int]] = None) -> dict[tuple[int, ...], Pair]:
+    """Gamma[v; x - v] as pairs, keyed by x - origin (origin None: v), for an
+    integer v and every integer x with A.x = A.v and lo_i <= x_i <= hi_i,
     box_i = (lo_i, hi_i) (hi_i None: unbounded), a box in v + N_v where each
     x_i keeps one sign: lo_i >= 0 or hi_i <= -1.  So the walk's term-cap
     count is unsigned, and A.x = A.v bounds its weight-A budget
@@ -178,11 +181,12 @@ def gamma_series(v, system: HypergeometricSystem,
     = q_i / (p_i + (k + 1) q_i) for every k, v_i = p_i / q_i: for k >= 0 one
     more factor joins the denominator, for k < 0 one leaves the numerator.
     No factor is 0 inside the box of N_v.  A step of z multiplies a reduced
-    Fraction by a ratio of |z_0| + |z_{n-1}| small linear factors, which
-    costs gcds of a big and a small integer, not of two big ones.
+    pair by a ratio of |z_0| + |z_{n-1}| small linear factors, which costs
+    gcds of a big and a small integer, not of two big ones.
     """
     v = _checked_exponent(v, system, frontier)
-    return TruncatedSeries(v, _series_terms(system.matrix.entries, v, 0, frontier.bound), frontier)
+    terms = _series_terms(system.matrix.entries, v, 0, frontier.bound)
+    return TruncatedSeries._built(v, terms, frontier)
 
 
 def _checked_exponent(v, system: HypergeometricSystem, frontier: TruncationFrontier):
@@ -196,7 +200,7 @@ def _checked_exponent(v, system: HypergeometricSystem, frontier: TruncationFront
     return v
 
 
-def _series_terms(entries, v, rhs: int, bound: int) -> dict[tuple[int, ...], Fraction]:
+def _series_terms(entries, v, rhs: int, bound: int) -> dict[tuple[int, ...], Pair]:
     """Gamma[v; u] on the box of N_v (see gamma_series) where entries.u = rhs, |u|_1 <= bound."""
     p, q = [x.numerator for x in v], [x.denominator for x in v]
     lower = [-a if b == 1 and a >= 0 else None for a, b in zip(p, q)]
@@ -334,11 +338,11 @@ def restrict_series_x0(f: TruncatedSeries) -> TruncatedSeries:
     """
     base0, n = f.base[0], f.n - 1
     if base0.denominator != 1:
-        return TruncatedSeries(f.base[1:], {}, TruncationFrontier(n, f.frontier.bound))
+        return TruncatedSeries._built(f.base[1:], {}, TruncationFrontier(n, f.frontier.bound))
     k0 = int(base0)
     frontier = TruncationFrontier(n, f.frontier.bound - abs(k0))
-    terms = {u[1:]: c for u, c in f.terms.items() if u[0] + k0 == 0}
-    return TruncatedSeries(f.base[1:], terms, frontier, f.exact)
+    pairs = {u[1:]: c for u, c in f.pairs.items() if u[0] + k0 == 0}
+    return TruncatedSeries._built(f.base[1:], pairs, frontier, f.exact)
 
 
 def _x0_slice(v, system: HypergeometricSystem, frontier: TruncationFrontier) -> TruncatedSeries:
@@ -349,8 +353,9 @@ def _x0_slice(v, system: HypergeometricSystem, frontier: TruncationFrontier) -> 
         raise InvalidInputError(f"x_0-exponent {v[0]} is not a nonnegative integer")
     j, scale = int(v[0]), math.factorial(int(v[0]))
     terms = _series_terms(system.matrix.entries[1:], v[1:], j, frontier.bound - j)
-    return TruncatedSeries(v[1:], {u: scale * c for u, c in terms.items()},
-                           TruncationFrontier(len(v) - 1, frontier.bound - j))
+    pairs = {u: (a * (scale // g), b // g) for u, (a, b) in terms.items()
+             for g in (math.gcd(scale, b),)}
+    return TruncatedSeries._built(v[1:], pairs, TruncationFrontier(len(v) - 1, frontier.bound - j))
 
 
 def lift(A: CurveMatrix) -> tuple[CurveMatrix, Callable[..., TruncatedSeries]]:

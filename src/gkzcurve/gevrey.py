@@ -63,9 +63,11 @@ def _diagonal_direction(A: CurveMatrix, var: int) -> tuple[int, ...]:
 
     The diagonal is supported on the last two coordinates: the primitive
     vector (0, ..., 0, -a_n/g, a_{n-1}/g) with g = gcd leaves all other
-    exponents fixed, so its multiples stay inside every support set N_v
-    (for two variables it spans the kernel).  The sign is normalized so
-    that the x_var-degree increases along the diagonal.
+    exponents fixed (for two variables it spans the kernel).  The sign is
+    normalized so that the x_var-degree increases along the diagonal.  The
+    other coordinate then falls, and the diagonal leaves N_v where it falls
+    from N to a negative integer: for var = n - 2 at once if v_{n-1} in N is
+    below a_{n-1}/g, and the fit then finds too few points.
     """
     ent = A.entries
     g = math.gcd(ent[-2], ent[-1])
@@ -106,20 +108,15 @@ def gevrey_index_estimate(f: TruncatedSeries, var: int, min_terms: int = 8,
         raise InvalidInputError("pass matrix= to choose the growth diagonal")
     z = _diagonal_direction(curve_matrix(matrix), var)
     zero = (0,) * f.n
-    start = zero if zero in f.terms else min(
-        f.terms, key=lambda u: (sum(map(abs, u)), u), default=zero)
+    start = zero if zero in f.pairs else min(
+        f.pairs, key=lambda u: (sum(map(abs, u)), u), default=zero)
 
     points: list[tuple[float, float]] = []  # (degree, ln|c|)
     m = 0
-    while True:
-        u = tuple(s + m * x for s, x in zip(start, z))
-        if not f.frontier.contains(u):
-            break
-        c = f.coefficient(u)
-        if c != 0:
-            d = float(f.base[var] + u[var])
-            if d >= 1.0:
-                points.append((d, log_abs(c)))
+    while f.frontier.contains(u := tuple(s + m * x for s, x in zip(start, z))):
+        c, d = f.pairs.get(u), float(f.base[var] + u[var])
+        if c and d >= 1.0:
+            points.append((d, log_abs(*c)))
         m += 1
     need = max(min_terms, 1)  # the fit below needs at least one point
     if len(points) < need:
@@ -145,13 +142,14 @@ def _least_squares(d: list[float], y: list[float]) -> tuple[float, float]:
     integer, so the Gram matrix G of the columns (d, ln d, 1, d ln d, y) is
     integer; the scale cancels from alpha and the stderr.  One Bareiss pass
     over G, without row swaps, leaves in entry (p, j >= p) the minor of rows
-    0..p and columns 0..p-1, j, every division exact.  With N the normal
-    matrix (G without row and column y), that is det N at (3, 3), det N with
-    alpha's column replaced by the y column at (3, 4), alpha's cofactor at
-    (2, 2) and det G at (4, 4): Cramer's rule gives alpha, (N^-1)_33 and the
-    residual sum of squares det G / det N, the same rationals as the solve
-    over the rationals.  N is a Gram matrix, so a zero among its pivots
-    (0, 0)..(3, 3) means N is singular."""
+    0..p and columns 0..p-1, j, every division exact; G and every step are
+    symmetric, so only j >= i is built and updated, reading G[p][i] for
+    G[i][p].  With N the normal matrix (G without row and column y), that is
+    det N at (3, 3), det N with alpha's column replaced by the y column at
+    (3, 4), alpha's cofactor at (2, 2) and det G at (4, 4): Cramer's rule
+    gives alpha, (N^-1)_33 and the residual sum of squares det G / det N,
+    the same rationals as the solve over the rationals.  N is a Gram matrix,
+    so a zero among its pivots (0, 0)..(3, 3) means N is singular."""
     ln = [math.log(di) for di in d]
     ratios = [x.as_integer_ratio()
               for x in d + ln + [1.0] * len(d) + [di * li for di, li in zip(d, ln)] + y]
@@ -159,7 +157,8 @@ def _least_squares(d: list[float], y: list[float]) -> tuple[float, float]:
     ints = [num << (e - den.bit_length()) for num, den in ratios]
     k = len(d)  # points
     cols = [ints[i * k:(i + 1) * k] for i in range(5)]
-    G = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
+    G = [[0] * i + [sum(a * b for a, b in zip(ci, cj)) for cj in cols[i:]]
+         for i, ci in enumerate(cols)]
     prev = 1
     for p in range(4):
         piv = G[p][p]
@@ -168,8 +167,8 @@ def _least_squares(d: list[float], y: list[float]) -> tuple[float, float]:
                 "singular normal equations: too few distinct diagonal points to fit"
             )
         for i in range(p + 1, 5):
-            for j in range(p + 1, 5):
-                G[i][j] = (G[i][j] * piv - G[i][p] * G[p][j]) // prev
+            for j in range(i, 5):
+                G[i][j] = (G[i][j] * piv - G[p][i] * G[p][j]) // prev
         prev = piv
     det_n = G[3][3]
     alpha, inv33, rss = (Fraction(m, det_n) for m in (G[3][4], G[2][2], G[4][4]))
@@ -373,6 +372,6 @@ def polynomial_solution(A, beta) -> Optional[tuple[int, TruncatedSeries]]:
     q, v = _polynomial_exponent(lifted, beta)
     terms = _box_gamma_terms(lifted, [int(x) for x in v], [(0, None)] * lifted.n)
     span = max((sum(abs(x) for x in u) for u in terms), default=0)
-    f = TruncatedSeries(v, terms, TruncationFrontier.uniform(lifted.n, span), exact=True)
+    f = TruncatedSeries._built(v, terms, TruncationFrontier.uniform(lifted.n, span), exact=True)
     # not lift's slice: its frontier would span the kept terms, not the whole lifted polynomial
     return q, f if lifted is A else restrict_series_x0(f)

@@ -1,9 +1,9 @@
 """Exact rational arithmetic helpers.
 
-All series coefficients in this package are exact rationals.  We use
-``fractions.Fraction`` from the standard library as the rational type: it is
-normalized (gcd-reduced, positive denominator), hashable, and supports exact
-field arithmetic out of the box.
+All series coefficients in this package are exact rationals, stored as
+reduced integer pairs (num, den), den > 0 (see :func:`reduced_pair`), so a
+long series builds no object per term.  ``fractions.Fraction`` is the public
+face: parameters, exponents, operator coefficients and every read coefficient.
 
 The one non-trivial primitive is the multivariate falling factorial
 
@@ -21,6 +21,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InvalidInputError
+
+Pair = tuple[int, int]  # a reduced (num, den), den > 0: the package's series coefficient
 
 
 def as_rational(x) -> Fraction:
@@ -48,10 +50,18 @@ def parse_rational(s: str) -> Fraction:
 
 def format_rational(x: Fraction | int) -> str:
     """Render a rational as 'p' or 'p/q' with q > 0 and gcd(p, q) = 1."""
-    x = as_rational(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return format_pair(*as_rational(x).as_integer_ratio())
+
+
+def format_pair(num: int, den: int) -> str:
+    """Render a reduced pair (num, den) as 'num' or 'num/den'."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def reduced_pair(num: int, den: int) -> Pair:
+    """num / den (den != 0) as a reduced pair: gcd 1, positive denominator."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
 
 
 def falling_product(p: int, q: int, k: int) -> int:
@@ -60,8 +70,8 @@ def falling_product(p: int, q: int, k: int) -> int:
     return math.prod(range(p, p - k * q, -q))
 
 
-def log_abs(x: Fraction) -> float:
-    """ln|x| for a nonzero rational, safe for huge numerators."""
-    if x == 0:
+def log_abs(num: int, den: int) -> float:
+    """ln|num / den| for num != 0 < den, safe for huge integers."""
+    if num == 0:
         raise InvalidInputError("log of zero")
-    return math.log(abs(x.numerator)) - math.log(x.denominator)
+    return math.log(abs(num)) - math.log(den)

@@ -317,9 +317,9 @@ def ext1_generator(A, beta) -> TruncatedSeries:
     box = [(0, None)] * n
     box[solved] = (-ent[free], -1)
     base = vt[:free] + [0] + vt[free + 1:]
-    slab = TruncatedSeries(base, _box_gamma_terms(A, vt, box, base),
-                           TruncationFrontier.uniform(n, 0), exact=True)
+    slab = TruncatedSeries._built(base, _box_gamma_terms(A, vt, box, base),
+                                  TruncationFrontier.uniform(n, 0), exact=True)
     P = system.toric[n - 3]  # toric[-1], the only one, for a plane matrix
-    image = apply_operator(WeylOperator(n, [t for t in P.terms if t[2][free]]), slab).terms
+    image = apply_operator(WeylOperator(n, [t for t in P.terms if t[2][free]]), slab).pairs
     span = max(sum(map(abs, u)) for u in image) + 1
-    return TruncatedSeries(base, image, TruncationFrontier.uniform(n, span), exact=True)
+    return TruncatedSeries._built(base, image, TruncationFrontier.uniform(n, span), exact=True)

@@ -10,7 +10,9 @@ integer vectors confined to the L1 ball { u : sum_i |u_i| <= bound }, the
 the operator's maximal monomial shift, so every coefficient inside the
 shrunk frontier is exact: it equals the corresponding coefficient of the
 operator applied to the *infinite* series, provided the input was complete
-inside its own frontier.
+inside its own frontier.  The c_u are kept as reduced integer pairs in
+``pairs``, the package's one coefficient store; ``terms``, a view, and
+``coefficient`` are their public ``Fraction`` face.
 
 Series flagged ``exact=True`` carry *all* their nonzero terms (e.g.
 polynomial solutions); operators then apply without any frontier loss.
@@ -29,16 +31,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Iterable, Mapping, MutableMapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError
-from .rationals import (
-    as_rational,
-    as_rational_vector,
-    falling_product,
-    format_rational,
-)
+from .rationals import (Pair, as_rational, as_rational_vector, falling_product, format_pair,
+                        format_rational, reduced_pair)
 
 DEFAULT_BOUND = 40
 _ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
@@ -77,10 +75,36 @@ class TruncationFrontier:
         return {"weight": [1] * self.n, "bound": self.bound}
 
 
+class _FractionView(MutableMapping):
+    """{offset: Fraction} over a series' pairs: only a lookup builds a Fraction,
+    and a write stores the reduced pair (a zero removes the offset)."""
+
+    def __init__(self, pairs: dict):
+        self.pairs = pairs
+
+    def __getitem__(self, u) -> Fraction:
+        return Fraction(*self.pairs[u])
+
+    def __setitem__(self, u, c) -> None:
+        if c := as_rational(c):
+            self.pairs[u] = c.as_integer_ratio()
+        else:
+            self.pairs.pop(u, None)
+
+    def __delitem__(self, u) -> None:
+        del self.pairs[u]
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __iter__(self):
+        return iter(self.pairs)
+
+
 class TruncatedSeries:
     """Immutable-by-convention container for a frontier-truncated series."""
 
-    __slots__ = ("base", "terms", "frontier", "exact")
+    __slots__ = ("base", "pairs", "frontier", "exact")
 
     def __init__(self, base, terms: Mapping, frontier: TruncationFrontier,
                  exact: bool = False):
@@ -88,7 +112,7 @@ class TruncatedSeries:
         n, bound = len(base), frontier.bound
         if frontier.n != n:
             raise InvalidInputError("frontier/base dimension mismatch")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Pair] = {}
         for off, c in terms.items():
             c = as_rational(c)
             if not c:
@@ -98,11 +122,20 @@ class TruncatedSeries:
                 raise InvalidInputError("offset dimension mismatch")
             if not exact and sum(map(abs, off)) > bound:
                 raise InvalidInputError(f"offset {off} lies outside the frontier")
-            clean[off] = c
-        self.base = base
-        self.terms = clean
-        self.frontier = frontier
-        self.exact = exact
+            clean[off] = c.numerator, c.denominator
+        self.base, self.pairs, self.frontier, self.exact = base, clean, frontier, exact
+
+    @classmethod
+    def _built(cls, base, pairs: dict, frontier, exact: bool = False) -> "TruncatedSeries":
+        """Take nonzero reduced pairs inside the frontier, built by the package, unchecked."""
+        f = cls.__new__(cls)
+        f.base, f.pairs, f.frontier, f.exact = as_rational_vector(base), pairs, frontier, exact
+        return f
+
+    @property
+    def terms(self) -> MutableMapping[tuple[int, ...], Fraction]:
+        """The coefficients as an {offset: Fraction} view of ``pairs``."""
+        return _FractionView(self.pairs)
 
     @property
     def n(self) -> int:
@@ -112,7 +145,7 @@ class TruncatedSeries:
         return self.terms.get(tuple(offset), Fraction(0))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.pairs
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items())
@@ -121,8 +154,8 @@ class TruncatedSeries:
         return {
             "base": [format_rational(b) for b in self.base],
             "terms": [
-                {"offset": list(u), "coeff": format_rational(c)}
-                for u, c in self.sorted_terms()
+                {"offset": list(u), "coeff": format_pair(*c)}
+                for u, c in sorted(self.pairs.items())
             ],
             "frontier": self.frontier.to_json(),
             "exact": self.exact,
@@ -130,21 +163,16 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return (f"TruncatedSeries(base={tuple(map(str, self.base))}, "
-                f"{len(self.terms)} terms, bound={self.frontier.bound}"
+                f"{len(self.pairs)} terms, bound={self.frontier.bound}"
                 f"{', exact' if self.exact else ''})")
 
 
 def series_equal(f: TruncatedSeries, g: TruncatedSeries) -> bool:
     """Equality of base and of all coefficients on the smaller frontier."""
-    if f.base != g.base:
-        return False
-    bound = min(f.frontier.bound, g.frontier.bound)
-    for u in set(f.terms) | set(g.terms):
-        if not (f.exact and g.exact) and sum(map(abs, u)) > bound:
-            continue
-        if f.coefficient(u) != g.coefficient(u):
-            return False
-    return True
+    bound = math.inf if f.exact and g.exact else min(f.frontier.bound, g.frontier.bound)
+    return f.base == g.base and all(f.pairs.get(u) == g.pairs.get(u)
+                                    for u in f.pairs.keys() | g.pairs.keys()
+                                    if sum(map(abs, u)) <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +271,7 @@ def _act(ops, f: TruncatedSeries):
     """
     ops, n, exact = list(ops), f.n, f.exact
     reach = None if exact else [op.max_shift() for op in ops]
-    keys = list(f.terms)
+    keys = list(f.pairs)
     cols, size = list(zip(*keys)) or [()] * n, len(keys)
     bp, bq = [b.numerator for b in f.base], [b.denominator for b in f.base]
     falling: dict[tuple[int, int], list[int]] = {}  # (i, q_i) -> column of (base_i + u_i)_{q_i}
@@ -280,8 +308,7 @@ def _act(ops, f: TruncatedSeries):
                 radix, codes = 2 * half + 1, list(cols[0])
                 for col in cols[1:]:
                     codes = [c * radix + x for c, x in zip(codes, col)]
-                nums = [c.numerator for c in f.terms.values()]
-                dens = [c.denominator for c in f.terms.values()]
+                nums, dens = zip(*f.pairs.values())
                 l1s = itertools.repeat(0) if exact else [sum(map(abs, u)) for u in keys]
             step, limit = 0, 0 if exact else bound - sum(map(abs, shift))
             for x in shift:
@@ -311,11 +338,11 @@ def apply_operator(op: WeylOperator, f: TruncatedSeries) -> TruncatedSeries:
     """Apply op to f through the prepared view of f (see the module
     docstring and :func:`_act`), decoding only the nonzero residuals.  The
     result frontier shrinks by op.max_shift unless f is exact; inside the
-    returned frontier every coefficient is exact.  A Fraction is built only
-    for a nonzero residual, so an annihilating operator builds none."""
+    returned frontier every coefficient is exact.  Only a nonzero residual
+    is reduced to a pair, so an annihilating operator reduces none."""
     ((_, frontier, residual),) = _act((op,), f)
-    terms = {u: Fraction(a, b) for u, (a, b) in residual.items()}
-    return TruncatedSeries(f.base, terms, frontier, f.exact)
+    pairs = {u: reduced_pair(*c) for u, c in residual.items()}
+    return TruncatedSeries._built(f.base, pairs, frontier, f.exact)
 
 
 class AnnihilationReport:

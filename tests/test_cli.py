@@ -229,6 +229,15 @@ def test_series_and_gevrey_index_build_only_the_lifted_system(capsys, monkeypatc
         run(capsys, "verify", "-A", "4,5,6,7", "-b", "1/2", "--bound", "10")
 
 
+def test_gevrey_index_off_the_support_diagonal_is_refused(capsys):
+    # var = n - 2 flips the diagonal, which lowers v_3 = 0 to -6 in one step:
+    # it leaves N_v at once, and no point is left to fit
+    code, out, err = run(capsys, "gevrey-index", "-A", "4,5,6,7", "-b", "1/2", "--bound", "60",
+                         "--var", "2")
+    assert code == 2 and out == "" and "diagonal terms available" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("matrix, bound, terms", [("4,5,6,7", 60, 1067), ("4,5,6,7", 80, 2429),
                                                   ("3,4,5", 400, 5144)])
 def test_general_matrix_series_walks_only_its_x0_slice(capsys, matrix, bound, terms):

@@ -5,11 +5,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkzcurve import gamma as gamma_module
 from gkzcurve.errors import InvalidInputError
 from gkzcurve.gamma import (
     _beta_in_semigroup,
     _exponent_axes,
     _polynomial_exponent,
+    _ratio_step,
+    _series_terms,
     gamma_coefficient,
     gamma_series,
     generic_exponents,
@@ -21,7 +24,9 @@ from gkzcurve.gamma import (
     restrict_series_x0,
     singular_exponents,
 )
-from gkzcurve.lattice import curve_matrix, delta_j_set, enumerate_offsets, homogenize_matrix
+from gkzcurve.lattice import (_lattice_runs, curve_matrix, delta_j_set, enumerate_offsets,
+                              homogenize_matrix)
+from gkzcurve.rationals import falling_product
 from gkzcurve.series import TruncationFrontier, verify_annihilation
 from gkzcurve.system import HypergeometricSystem, build_system
 
@@ -415,3 +420,110 @@ def test_gamma_series_matches_full_ball_walk_on_bench_sizes():
         fr = TruncationFrontier.uniform(system.n, bound)
         for v in singular_exponents(system) + generic_exponents(system):
             assert gamma_series(v, system, fr).terms == gamma_series_full_ball(v, system, fr)
+
+
+# ---------------------------------------------------------------------------
+# reduced pairs against Fraction stepping
+
+
+def gamma_ratio_fraction(p, q, u):
+    """Gamma[v; u] for v_i = p_i / q_i as a Fraction (test oracle)."""
+    num = den = 1
+    for pi, qi, k in zip(p, q, u):
+        if k < 0:
+            num, den = num * falling_product(pi, qi, -k), den * qi**-k
+        elif k:
+            num, den = num * qi**k, den * falling_product(pi + k * qi, qi, k)
+    return F(num, den)
+
+
+def gamma_terms_fraction(p, q, z, runs):
+    """The ratio steps of gamma._gamma_terms on Fraction objects, the form
+    the coefficients had before they became reduced pairs (test oracle)."""
+    p0, q0, d, pn, qn, s = p[0], q[0], z[0], p[-1], q[-1], z[-1]
+    terms = {}
+    for u, count in runs:
+        c = terms[u] = gamma_ratio_fraction(p, q, u)
+        u0, un, mid = u[0], u[-1], u[1:-1]
+        for _ in range(count - 1):
+            a, b = _ratio_step(p0, q0, u0, d)
+            e, f = _ratio_step(pn, qn, un, s)
+            u0 += d
+            un += s
+            c = terms[(u0, *mid, un)] = c * F(a * e, b * f)
+    return terms
+
+
+# (matrix, largest bound drawn for it)
+PAIR_MATRICES = [((2, 3), 60), ((3, 7), 60), ((5, 13), 60), ((1, 2, 5), 60),
+                 ((1, 3, 7), 60), ((1, 5, 6), 60), ((1, 2, 3, 5), 30),
+                 (homogenize_matrix(curve_matrix((3, 4, 5))), 30),
+                 (homogenize_matrix(curve_matrix((2, 5, 7))), 30)]
+
+
+@st.composite
+def pair_requests(draw):
+    entries, top = draw(st.sampled_from(PAIR_MATRICES))
+    beta = draw(st.sampled_from([F(0), F(1), F(7), F(-3), F(1, 2), F(-5, 3), F(11, 4)]))
+    system = build_system(entries, beta)
+    vs = singular_exponents(system) + generic_exponents(system)
+    return system, vs[draw(st.integers(0, len(vs) - 1))], draw(st.integers(0, top))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair_requests())
+def test_pair_stepping_matches_fraction_stepping(request):
+    system, v, bound = request
+    entries = system.matrix.entries
+    pairs = _series_terms(entries, v, 0, bound)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gamma_module, "_gamma_terms", gamma_terms_fraction)
+        want = _series_terms(entries, v, 0, bound)
+    assert pairs == {u: (c.numerator, c.denominator) for u, c in want.items()}
+    assert all(c for c in want.values())
+
+
+def test_series_build_no_fraction_per_term(monkeypatch):
+    system = build_system((1, 2, 5), 1)
+    v = singular_exponents(system)[0]
+    frontier = TruncationFrontier.uniform(3, 220)
+    # v = (0, 1/2, 0): the box of N_v is u_0 >= 0, u_2 >= 0
+    runs = _lattice_runs(system.matrix.entries, 0, (1, 1, 1), 220, [0, None, 0])[1]
+    built = []
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+    f = gamma_series(v, system, frontier)
+    reports = verify_annihilation(system.operators, f)
+    data = f.to_json()
+    monkeypatch.undo()
+    assert len(f.pairs) == len(data["terms"]) == 2368 and all(r.annihilated for r in reports)
+    assert len(built) <= len(runs) + sum(len(op.terms) for op in system.operators)
+    assert len(built) < len(f.pairs) // 100
+
+
+def test_terms_is_a_fraction_view_that_writes_pairs():
+    system = build_system((2, 3), F(1, 2))
+    v = singular_exponents(system)[1]
+    f = gamma_series(v, system, TruncationFrontier.uniform(2, 40))
+    old = {u: gamma_coefficient(v, u) for u in f.pairs}
+    assert f.terms == old and dict(f.terms) == old and len(f.terms) == len(old)
+    assert set(f.terms) == set(old) and all(u in f.terms for u in old)
+    assert (7, 7) not in f.terms and f.coefficient((7, 7)) == 0
+    assert all(isinstance(c, F) for c in f.terms.values())
+    assert all((c.numerator, c.denominator) == f.pairs[u] for u, c in f.terms.items())
+    u, w = sorted(f.terms)[-2:]
+    f.terms[u] = f.terms[u] * 2
+    assert f.pairs[u] == ((2 * old[u]).numerator, (2 * old[u]).denominator)
+    f.terms[u] = F(6, -4)
+    assert f.pairs[u] == (-3, 2) and f.coefficient(u) == F(-3, 2)
+    f.terms[w] = 0
+    assert w not in f.pairs
+    del f.terms[u]
+    assert u not in f.pairs and len(f.terms) == len(old) - 2
+    with pytest.raises(KeyError):
+        del f.terms[u]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -100,7 +101,7 @@ def diagonal_points(f, var, matrix):
     while f.frontier.contains(u := tuple(m * x for x in z)):
         c = f.coefficient(u)
         if c != 0 and f.base[var] + u[var] >= 1:
-            pts.append((float(f.base[var] + u[var]), log_abs(c)))
+            pts.append((float(f.base[var] + u[var]), log_abs(*c.as_integer_ratio())))
         m += 1
     return pts[len(pts) // 5:]
 
@@ -125,6 +126,48 @@ def test_integer_fit_matches_fraction_solve_on_random_points(degrees, data):
     d = sorted(k / 2 for k in degrees)
     y = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(d), max_size=len(d)))
     assert _least_squares(d, y) == least_squares_fraction(d, y)
+
+
+def least_squares_full_gram(d, y):
+    """_least_squares with the whole symmetric Gram matrix built and every
+    entry of it updated by the Bareiss pass (test oracle)."""
+    ln = [math.log(di) for di in d]
+    ratios = [x.as_integer_ratio()
+              for x in d + ln + [1.0] * len(d) + [di * li for di, li in zip(d, ln)] + y]
+    e = max(den.bit_length() for _, den in ratios)
+    ints = [num << (e - den.bit_length()) for num, den in ratios]
+    k = len(d)
+    cols = [ints[i * k:(i + 1) * k] for i in range(5)]
+    G = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
+    prev = 1
+    for p in range(4):
+        piv = G[p][p]
+        if piv == 0:
+            raise InvalidInputError("singular normal equations")
+        for i in range(p + 1, 5):
+            for j in range(p + 1, 5):
+                G[i][j] = (G[i][j] * piv - G[i][p] * G[p][j]) // prev
+        prev = piv
+    alpha, inv33, rss = (F(m, G[3][3]) for m in (G[3][4], G[2][2], G[4][4]))
+    return float(alpha), math.sqrt(float(rss / max(k - 4, 1) * inv33))
+
+
+def test_upper_triangle_fit_matches_full_gram_pass():
+    rng = random.Random(23)
+    for trial in range(3000):
+        k = rng.randint(1, 30)
+        if trial % 3:
+            d = [float(rng.randint(1, 400)) for _ in range(k)]
+        else:
+            d = [rng.uniform(1.0, 4000.0) for _ in range(k)]
+        y = [rng.uniform(-1e6, 1e6) if trial % 2 else (i + 1) * math.log(i + 2) for i in range(k)]
+        try:
+            want = least_squares_full_gram(d, y)
+        except InvalidInputError:
+            with pytest.raises(InvalidInputError, match="singular normal equations"):
+                _least_squares(d, y)
+        else:
+            assert _least_squares(d, y) == want
 
 
 def diagonal_direction_by_family(A, var):

@@ -57,6 +57,8 @@ def test_rational_round_trip():
 
 
 def test_log_abs_handles_huge_values():
-    x = F(math.factorial(300), 7)
-    assert log_abs(x) == pytest.approx(math.lgamma(301) - math.log(7), rel=1e-12)
-    assert log_abs(-x) == log_abs(x)
+    num = math.factorial(300)
+    assert log_abs(num, 7) == pytest.approx(math.lgamma(301) - math.log(7), rel=1e-12)
+    assert log_abs(-num, 7) == log_abs(num, 7)
+    with pytest.raises(InvalidInputError):
+        log_abs(0, 1)

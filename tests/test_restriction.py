@@ -225,7 +225,8 @@ def test_recurrence_gevrey_envelope():
             c = h[(k, m)]
             vals.append(
                 0.0 if c == 0
-                else math.exp(log_abs(c) - float(s - 1) * math.lgamma(k + 2 * m + 1))
+                else math.exp(log_abs(*c.as_integer_ratio())
+                              - float(s - 1) * math.lgamma(k + 2 * m + 1))
             )
         C, D = gevrey_envelope_fit(vals)
         assert all(v <= C * D**m * (1 + 1e-9) for m, v in enumerate(vals))
