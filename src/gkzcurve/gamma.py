@@ -91,20 +91,10 @@ def has_minimal_nsupp(v, A) -> MinimalSupportResult:
     return MinimalSupportResult(not in_semigroup(A.entries, int(A.dot(v))), True)
 
 
-def _gamma_ratio(p: Sequence[int], q: Sequence[int], u: Sequence[int]) -> Pair:
-    """Gamma[v; u] as a reduced pair for v_i = p_i / q_i and u in N_v, from
-    integers: u_i = -k contributes (v_i)_k, u_i = k > 0 contributes 1 / (v_i + k)_k."""
-    num = den = 1
-    for pi, qi, k in zip(p, q, u):
-        if k < 0:
-            num, den = num * falling_product(pi, qi, -k), den * qi**-k
-        elif k:
-            num, den = num * qi**k, den * falling_product(pi + k * qi, qi, k)
-    return reduced_pair(num, den)
-
-
 def gamma_coefficient(v, u) -> Fraction:
-    """Gamma[v; u] = (v)_{u_-} / (v + u)_{u_+}, zero off the support set N_v."""
+    """Gamma[v; u] = (v)_{u_-} / (v + u)_{u_+}, zero off the support set N_v:
+    the product of gamma_series' coordinate factors T_i(u_i), each the
+    :func:`_ratio_step` from T_i(0) = 1."""
     v = as_rational_vector(v)
     u = tuple(int(x) for x in u)
     if len(u) != len(v):
@@ -112,7 +102,11 @@ def gamma_coefficient(v, u) -> Fraction:
     p, q = [x.numerator for x in v], [x.denominator for x in v]
     if any(b == 1 and (a < 0) != (a + k < 0) for a, b, k in zip(p, q, u)):
         return Fraction(0)  # v + u gains or loses a negative integer coordinate
-    return Fraction(*_gamma_ratio(p, q, u))
+    num = den = 1
+    for pi, qi, k in zip(p, q, u):
+        a, b = _ratio_step(pi, qi, 0, k)
+        num, den = num * a, den * b
+    return Fraction(num, den)
 
 
 def _ratio_step(p: int, q: int, k: int, m: int) -> tuple[int, int]:
@@ -123,21 +117,47 @@ def _ratio_step(p: int, q: int, k: int, m: int) -> tuple[int, int]:
     return falling_product(p + k * q, q, -m), q**-m
 
 
+def _factor_table(p: int, q: int) -> Callable[[int], Pair]:
+    """k -> T(k) as an unreduced pair, for the factor T of Gamma[v; u] at
+    v_i = p / q (see gamma_series): T(k +- 1) is filled in from T(k) by one
+    linear factor, outwards from T(0) = 1, once per k."""
+    sides = {1: [(1, 1)], -1: [(1, 1)]}
+
+    def factor(k: int) -> Pair:
+        m = 1 if k >= 0 else -1
+        side = sides[m]
+        while len(side) <= m * k:
+            a, b = _ratio_step(p, q, m * (len(side) - 1), m)
+            num, den = side[-1]
+            side.append((num * a, den * b))
+        return side[m * k]
+    return factor
+
+
 def _gamma_terms(p: Sequence[int], q: Sequence[int], z: Sequence[int],
                  runs: Sequence[tuple[tuple[int, ...], int]]) -> dict[tuple[int, ...], Pair]:
     """Gamma[v; u] as reduced pairs for v_i = p_i / q_i over the runs u, u + z,
-    ... of :func:`_lattice_runs`, every u in N_v: each run's first term from
-    :func:`_gamma_ratio`, every later one by one ratio step a/b on the two
-    coordinates, 0 and n - 1, that z moves: the pair is multiplied by the
-    reduced a/b as ``Fraction`` multiplies, through gcd(num, b) and gcd(a, den)."""
+    ... of :func:`_lattice_runs`, every u in N_v.  A run's first term is the
+    reduced product of its n coordinate factors T_i(u_i), read from one
+    :func:`_factor_table` per coordinate; every later one follows by one
+    ratio step a/b on the two coordinates, 0 and n - 1, that z moves, whose
+    two :func:`_ratio_step` factors are computed once per coordinate value.
+    The pair is multiplied by the reduced a/b as ``Fraction`` multiplies,
+    through gcd(num, b) and gcd(a, den).  Every table lives for one call."""
     p0, q0, d, pn, qn, s = p[0], q[0], z[0], p[-1], q[-1], z[-1]
+    factors = [_factor_table(pi, qi) for pi, qi in zip(p, q)]
+    first, last = {}, {}  # u_0 -> T_0(u_0 + d) / T_0(u_0), u_n -> the same for z_n = s
     terms = {}
     for u, count in runs:
-        num, den = terms[u] = _gamma_ratio(p, q, u)
+        num = den = 1
+        for factor, k in zip(factors, u):
+            a, b = factor(k)
+            num, den = num * a, den * b
+        num, den = terms[u] = reduced_pair(num, den)
         u0, un, mid = u[0], u[-1], u[1:-1]
         for _ in range(count - 1):
-            a, b = _ratio_step(p0, q0, u0, d)
-            e, f = _ratio_step(pn, qn, un, s)
+            a, b = first.get(u0) or first.setdefault(u0, _ratio_step(p0, q0, u0, d))
+            e, f = last.get(un) or last.setdefault(un, _ratio_step(pn, qn, un, s))
             u0 += d
             un += s
             a, b = reduced_pair(a * e, b * f)
@@ -182,7 +202,10 @@ def gamma_series(v, system: HypergeometricSystem,
     more factor joins the denominator, for k < 0 one leaves the numerator.
     No factor is 0 inside the box of N_v.  A step of z multiplies a reduced
     pair by a ratio of |z_0| + |z_{n-1}| small linear factors, which costs
-    gcds of a big and a small integer, not of two big ones.
+    gcds of a big and a small integer, not of two big ones.  Runs share
+    coordinate values, so each build fills one table of T_i per coordinate
+    and computes each step ratio once per coordinate value: a run's first
+    term is a product of n table entries, reduced once.
     """
     v = _checked_exponent(v, system, frontier)
     terms = _series_terms(system.matrix.entries, v, 0, frontier.bound)

@@ -231,12 +231,16 @@ def _lattice_points(coeffs: Sequence[int], rhs: int, weight: Sequence[int], boun
     :func:`_lattice_runs` expanded.
 
     The one bounded-lattice walk of the package.  Coordinates 1..n-2 range
-    over the ball clipped to their bounds, and a partial vector is dropped
-    once |rest| exceeds max |c_i| / w_i over coordinate 0 and the open
-    coordinates, times the budget left.  The last free coordinate x_{n-1}
-    is solved, not visited (coeffs[0] != 0): coordinate 0 is an integer
-    only for x_{n-1} in one residue class mod s = |c_0| / gcd(c_0, c_{n-1}),
-    coordinate 0's bounds are linear in x_{n-1}, and the budget
+    over the ball clipped to their bounds.  A partial vector is dropped when
+    rest, what coordinate 0 and the open coordinates still have to sum to,
+    lies outside the range of sum_i c_i x_i over their clipped box, or when
+    |rest| exceeds the budget left times the largest |c_i| / w_i among those
+    whose c_i x_i can take the sign of rest in that box.  Both tests keep
+    every solution, so the runs and their order do not depend on them.
+    The last free coordinate x_{n-1} is solved, not visited (coeffs[0] != 0):
+    coordinate 0 is an integer only for x_{n-1} in one residue class mod
+    s = |c_0| / gcd(c_0, c_{n-1}), coordinate 0's bounds are linear in
+    x_{n-1}, and the budget
     w_0 |x_0| + w_{n-1} |x_{n-1}| <= left is convex in it, so the solutions
     form an interval of that class.  Each leaf of the walk thus yields one
     run: a first point, a count, and the step
@@ -287,18 +291,28 @@ def _lattice_runs(coeffs: Sequence[int], rhs: int, weight: Sequence[int], bound:
     # its four sign choices, are each one a k <= b with a from ks
     ks = (-d, d, w0 * d + wn * s, w0 * d - wn * s, wn * s - w0 * d, -w0 * d - wn * s)
     lo0, hi0, lon, hin = lo[0], hi[0], lo[-1], hi[-1]
-    # reach[pos] = (|c|, w) of largest |c|/w among coordinates 0 and pos..n-1
-    reach = [(abs(c0), w0)] * (n + 1)
-    for pos in range(n - 1, 0, -1):
-        c, w = reach[pos + 1]
-        big = abs(coeffs[pos]) * w > c * weight[pos]
-        reach[pos] = (abs(coeffs[pos]), weight[pos]) if big else (c, w)
+    # prune[pos] over coordinate 0 and pos..n-1, within lo..hi: the (|c|, w) of
+    # largest |c|/w among those whose c_i x_i can be > 0, the same for < 0, and
+    # the least and the largest value of sum_i c_i x_i
+    prune = [None] * n
+    up = down = (0, 1)
+    low = high = 0
+    for pos in (0, *range(n - 1, 0, -1)):
+        c, w = coeffs[pos], weight[pos]
+        least, most = sorted((c * lo[pos], c * hi[pos]))
+        if most > 0 and abs(c) * up[1] > up[0] * w:
+            up = (abs(c), w)
+        if least < 0 and abs(c) * down[1] > down[0] * w:
+            down = (abs(c), w)
+        low, high = low + least, high + most
+        prune[pos] = (*up, *down, low, high)
     runs: list[tuple[tuple[int, ...], int]] = []
 
     def rec(pos: int, partial: list[int], left: int, rest: int) -> None:
         # rest = rhs - sum_{1 <= i < pos} coeffs_i x_i; left = budget unused
-        c, w = reach[pos]
-        if abs(rest) * w > c * left:
+        uc, uw, dc, dw, low, high = prune[pos]
+        if not low <= rest <= high or (rest * uw > uc * left if rest > 0
+                                       else -rest * dw > dc * left):
             return
         if pos == n - 1:
             if rest % g:

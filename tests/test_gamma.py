@@ -483,6 +483,20 @@ def test_pair_stepping_matches_fraction_stepping(request):
     assert all(c for c in want.values())
 
 
+@pytest.mark.parametrize("entries, beta, bound", [
+    ((2, 3), F(1, 2), 2000), ((1, 2, 5), F(1, 2), 220), ((1, 2, 3, 5), F(1, 2), 60),
+    (homogenize_matrix(curve_matrix((3, 4, 5))), F(1, 2), 40)])
+def test_pair_stepping_matches_fraction_stepping_on_bench_sizes(entries, beta, bound):
+    # long runs reuse the factor tables and step ratios of _gamma_terms many times
+    system = build_system(entries, beta)
+    for v in singular_exponents(system) + generic_exponents(system):
+        pairs = _series_terms(system.matrix.entries, v, 0, bound)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gamma_module, "_gamma_terms", gamma_terms_fraction)
+            want = _series_terms(system.matrix.entries, v, 0, bound)
+        assert pairs == {u: (c.numerator, c.denominator) for u, c in want.items()}
+
+
 def test_series_build_no_fraction_per_term(monkeypatch):
     system = build_system((1, 2, 5), 1)
     v = singular_exponents(system)[0]

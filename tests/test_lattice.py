@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -392,6 +393,11 @@ def lattice_box_scan(coeffs, rhs, weight, bound, signed):
     )
 
 
+# per-coordinate bounds, cut to the length of the drawn coefficients
+CLIPS = st.lists(st.one_of(st.none(), st.integers(-4, 4)), min_size=4, max_size=4)
+NONE4 = [None] * 4
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 3)), min_size=0, max_size=3),
@@ -400,23 +406,56 @@ def lattice_box_scan(coeffs, rhs, weight, bound, signed):
     rhs=st.integers(-6, 6),
     bound=st.integers(-1, 8),
     signed=st.booleans(),
-    clips=st.data(),
+    lower=CLIPS,
+    upper=CLIPS,
 )
-def test_lattice_points_match_box_scan(data, c0, w0, rhs, bound, signed, clips):
+# the one-signed boxes of N_v that the Gamma series walk: coordinate 2 free
+# (a non-integer exponent) or every coordinate >= 0; the last has x_2 >= 1
+@example(data=[(2, 1), (3, 1), (5, 1)], c0=1, w0=1, rhs=0, bound=8, signed=True,
+         lower=[0, 0, None, 0], upper=NONE4)
+@example(data=[(3, 1), (4, 1), (5, 1)], c0=1, w0=1, rhs=0, bound=8, signed=True,
+         lower=[0, 0, None, 0], upper=NONE4)
+@example(data=[(2, 1), (3, 1), (5, 1)], c0=1, w0=1, rhs=7, bound=8, signed=False,
+         lower=[0, 0, 0, 0], upper=NONE4)
+@example(data=[(3, 1), (4, 1), (5, 1)], c0=1, w0=1, rhs=0, bound=8, signed=False,
+         lower=[0, 0, 0, 0], upper=NONE4)
+@example(data=[(3, 1), (4, 1), (5, 1)], c0=1, w0=1, rhs=9, bound=8, signed=False,
+         lower=[0, 0, 1, 0], upper=NONE4)
+# negative coefficients: x < 0 raises sum_i c_i x_i, x > 0 lowers it
+@example(data=[(-3, 3)], c0=-3, w0=1, rhs=6, bound=4, signed=True, lower=NONE4, upper=NONE4)
+@example(data=[(-3, 3)], c0=-3, w0=1, rhs=-6, bound=4, signed=True, lower=NONE4, upper=NONE4)
+def test_lattice_points_match_box_scan(data, c0, w0, rhs, bound, signed, lower, upper):
     coeffs = (c0,) + tuple(c for c, _ in data)
     weight = (w0,) + tuple(w for _, w in data)
     expected = lattice_box_scan(coeffs, rhs, weight, bound, signed)
     n = len(coeffs)
     assert _lattice_points(coeffs, rhs, weight, bound, [None if signed else 0] * n) == expected
     # per-coordinate bounds clip the same scan
-    bounds = st.lists(st.one_of(st.none(), st.integers(-4, 4)), min_size=n, max_size=n)
-    lower, upper = clips.draw(bounds), clips.draw(bounds)
+    lower, upper = lower[:n], upper[:n]
     if not signed:
         lower = [0 if lo is None else max(lo, 0) for lo in lower]
     clipped = [x for x in expected
                if all(lo is None or lo <= xi for lo, xi in zip(lower, x))
                and all(hi is None or xi <= hi for hi, xi in zip(upper, x))]
     assert _lattice_points(coeffs, rhs, weight, bound, lower, upper) == clipped
+
+
+def test_walk_prunes_a_one_signed_box():
+    # homogenized (3 4 5), exponent (0, 0, 0, 0) at bound 40: the box x >= 0
+    # holds only x = 0, and the sign of rest rejects every x_1 > 0 and, with
+    # x_1 = 0, every x_2 > 0 on entry: 1 + 41 + 41 nodes
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        nodes += event == "call" and frame.f_code.co_name == "rec"
+    sys.setprofile(count)
+    try:
+        got = _lattice_runs((1, 3, 4, 5), 0, (1, 1, 1, 1), 40, (0, 0, 0, 0))
+    finally:
+        sys.setprofile(None)
+    assert got == ((-5, 0, 0, 1), [((0, 0, 0, 0), 1)])
+    assert 0 < nodes <= 100
 
 
 @pytest.mark.parametrize("coeffs, weight", [
