@@ -194,8 +194,10 @@ def cmd_solve_ext1(args):
     f_table = {}
     if args.f:
         try:
+            if not isinstance(table := json.loads(args.f), list):  # {} and "" iterate as []
+                raise TypeError(f"expected a list, got {table!r}")
             items = [((_table_index(e["k"]), _table_index(e["m"])), parse_rational(e["coeff"]))
-                     for e in json.loads(args.f)]
+                     for e in table]
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise InvalidInputError(f"bad --f table {args.f!r}: expected a JSON list "
                                     'like [{"k":0,"m":0,"coeff":"1"}]') from exc

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InvalidInputError, ResourceLimitError
-from .gamma import (_beta_in_semigroup, _box_gamma_terms, _polynomial_exponent, lift,
+from .gamma import (_beta_in_semigroup, _box_gamma_terms, _polynomial_exponent, lift, nsupp,
                     restrict_series_x0)
 from .lattice import CurveMatrix, curve_matrix, term_cap
 from .rationals import as_rational, log_abs
@@ -120,7 +120,11 @@ def gevrey_index_estimate(f: TruncatedSeries, var: int, min_terms: int = 8,
         m += 1
     need = max(min_terms, 1)  # the fit below needs at least one point
     if len(points) < need:
-        raise InvalidInputError(f"only {len(points)} diagonal terms available, need {need}")
+        last = tuple(s + (m - 1) * x for s, x in zip(start, z))
+        # one coordinate falls, one rises: once off N_v the diagonal stays off
+        left = m and nsupp([b + x for b, x in zip(f.base, last)]) != nsupp(f.base)
+        why = f": the diagonal m*{z} leaves the support N_v inside the frontier" if left else ""
+        raise InvalidInputError(f"only {len(points)} diagonal terms available, need {need}{why}")
     burn = len(points) // 5
     points = points[burn:]
     d = [p[0] for p in points]

@@ -53,14 +53,13 @@ def term_cap() -> int:
 
 
 class CurveMatrix:
-    """A 1 x n positive integer matrix together with its family tag.  Equality
-    and hashing read the entries and the family, not ``base``."""
+    """A 1 x n positive integer matrix together with its family tag.  A
+    homogenized matrix (1 a_1 ... a_n) is the homogenization of entries[1:]."""
 
-    __slots__ = ("entries", "family", "base")
+    __slots__ = ("entries", "family")
 
-    def __init__(self, entries: tuple[int, ...], family: str,
-                 base: Optional[CurveMatrix] = None):
-        self.entries, self.family, self.base = entries, family, base
+    def __init__(self, entries: tuple[int, ...], family: str):
+        self.entries, self.family = entries, family
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CurveMatrix):
@@ -116,7 +115,7 @@ def homogenize_matrix(A: CurveMatrix) -> CurveMatrix:
     """Prepend a column of 1 to a general matrix: (a_1 .. a_n) -> (1 a_1 .. a_n)."""
     if A.family != "general":
         raise InvalidInputError("homogenization starts from a general matrix")
-    return CurveMatrix((1,) + A.entries, "homogenized", base=A)
+    return CurveMatrix((1,) + A.entries, "homogenized")
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +364,9 @@ def delta_j_set(Aprime: CurveMatrix, j: int, degree_bound: int) -> list[tuple[in
     is n-2 in the base matrix): with m_{n-1} negated, the support of gamma.lift's x_0 = 0
     slice of A''s singular series j at beta = j - a_{n-1}, bound degree_bound + j.
     """
-    if Aprime.family != "homogenized" or Aprime.base is None:
+    if Aprime.family != "homogenized":
         raise InvalidInputError("delta_j_set needs a homogenized matrix")
-    base = Aprime.base.entries
+    base = Aprime.entries[1:]
     n = len(base)
     pivot = n - 2
     if not 0 <= j < base[pivot]:

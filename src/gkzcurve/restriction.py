@@ -5,8 +5,8 @@ smooth-shaped matrix A' = (1 a_1 ... a_n); the hypergeometric module of A
 is recovered (for generic parameters) by restricting the module of A' to
 x_0 = 0.  This module packages:
 
-* :func:`homogenize` -- A' together with the contiguity operators
-  Q_i = d_0 d_i^{delta_i} - d^{rho_i} built from minimal semigroup data;
+* :func:`homogenize` -- A' with build_system's operators and the contiguity
+  binomials Q_i = d_0 d_i^{delta_i} - d^{rho_i} from minimal semigroup data;
 * :func:`b_function_1kakb` -- the b-function of the (1 ka kb) system with
   respect to the weight (1, 0, 0), namely tau (tau-1) ... (tau-k+1) for
   generic parameters;
@@ -27,10 +27,10 @@ from typing import Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
 from .gamma import _box_gamma_terms, _exponent_axes, lift, modified_exponent
-from .lattice import curve_matrix, homogenize_matrix, term_cap
+from .lattice import curve_matrix, homogenize_matrix, minimal_delta, term_cap
 from .rationals import as_rational, falling_product, format_rational
 from .series import TruncatedSeries, TruncationFrontier, WeylOperator, apply_operator
-from .system import build_system
+from .system import HypergeometricSystem, build_system
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +42,7 @@ class Homogenization:
 
     def __init__(self, matrix, system, deltas: tuple[int, ...], rhos: tuple[tuple[int, ...], ...]):
         self.matrix = matrix  # A' = (1 a_1 ... a_n)
-        self.system = system  # generators of the A' system, incl. Q_i
+        self.system = system  # generators of the A' system, the Q_i before E
         self.deltas = deltas
         self.rhos = rhos
 
@@ -56,12 +56,18 @@ class Homogenization:
 
 
 def homogenize(A, beta) -> Homogenization:
-    """Homogenize a general matrix and assemble the A'-system for beta."""
-    Ah = homogenize_matrix(curve_matrix(A))
-    system = build_system(Ah, beta)
-    # Q_i in normal form: d^(0, rho_i) first, then d_0 d_{i+1}^{delta_i}
-    deltas, rhos = zip(*((plus[i + 1], minus[1:]) for i, ((_, _, minus), (_, _, plus))
-                         in enumerate(op.terms for op in system.extra)))
+    """Homogenize a general matrix and assemble the A'-system for beta: the
+    kernel binomials of build_system, then Q_i = box_u for u = e_0 + delta_i
+    e_{i+1} - (0, rho_i), (delta_i, rho_i) = minimal_delta(A, i), then E."""
+    A = curve_matrix(A)
+    Ah = homogenize_matrix(A)
+    kernel = build_system(Ah, beta)
+    deltas, rhos = zip(*(minimal_delta(A, i) for i in range(A.n)))
+    # rho_i = 0, so the two halves of u have disjoint supports
+    contiguity = tuple(
+        WeylOperator.from_lattice((1, *(d * (j == i) - r for j, r in enumerate(rho))))
+        for i, (d, rho) in enumerate(zip(deltas, rhos)))
+    system = HypergeometricSystem(Ah, kernel.beta, kernel.toric + contiguity, kernel.euler)
     return Homogenization(Ah, system, deltas, rhos)
 
 
@@ -167,7 +173,7 @@ def restrict_decomposition(Aprime, beta) -> RestrictionDecomposition:
     n = Aprime.n
 
     if Aprime.family == "homogenized":
-        comp = ((Aprime.base, beta),)
+        comp = ((curve_matrix(ent[1:]), beta),)
         return RestrictionDecomposition(Aprime, beta, (0,), comp)
 
     if Aprime.family != "smooth":

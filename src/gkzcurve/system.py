@@ -10,11 +10,11 @@ Every binomial generator is box_u for a kernel vector u:
 * every non-general matrix (a_0 a_1 .. a_{n-1}):
       u_i = a_i e_0 - a_0 e_i  for i = 1..n-1, which is (b, -a) for a plane
       matrix (a b) and a_i e_0 - e_i for a smooth or homogenized one;
-* homogenized, in addition: the contiguity binomials
-      Q_i = d_0 d_i^{delta_i} - d^{rho_i}  from minimal_delta;
 * general: every box_u of support degree at most D = 2 max(A), one per
   +-u pair, from a walk inside that budget (the term cap still counts the
   L1 ball |u|_1 <= 2D that holds them).
+
+restriction.homogenize adds the contiguity binomials of a homogenized matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .errors import ResourceLimitError
-from .lattice import CurveMatrix, curve_matrix, minimal_delta
+from .lattice import CurveMatrix, curve_matrix
 from .rationals import as_rational
 from .series import WeylOperator
 from . import lattice as _lattice
@@ -31,19 +31,18 @@ from . import lattice as _lattice
 class HypergeometricSystem:
     """A curve matrix, a parameter, and a finite generating set of operators."""
 
-    __slots__ = ("matrix", "beta", "toric", "euler", "extra")
+    __slots__ = ("matrix", "beta", "toric", "euler")
 
     def __init__(self, matrix: CurveMatrix, beta, toric: tuple[WeylOperator, ...],
-                 euler: WeylOperator, extra: tuple[WeylOperator, ...] = ()):
+                 euler: WeylOperator):
         self.matrix = matrix
         self.beta = beta
         self.toric = toric
         self.euler = euler
-        self.extra = extra
 
     @property
     def operators(self) -> tuple[WeylOperator, ...]:
-        return self.toric + self.extra + (self.euler,)
+        return self.toric + (self.euler,)
 
     @property
     def n(self) -> int:
@@ -100,31 +99,18 @@ def _general_kernel(A: CurveMatrix) -> list[tuple[int, ...]]:
 
 
 def build_system(A, beta) -> HypergeometricSystem:
-    """Assemble the hypergeometric system for (A, beta).
+    """Assemble the kernel binomials and the Euler operator of (A, beta).
 
-    ``A`` may be a CurveMatrix or a plain entry sequence.  For the general
-    family the toric binomials are those of support degree at most twice
-    the largest entry.
+    ``A`` may be a CurveMatrix or a plain entry sequence, of any shape.  For
+    the general family the toric binomials are those of support degree at
+    most twice the largest entry; restriction.homogenize adds the Q_i.
     """
-    A = curve_matrix(A)
-    beta = as_rational(beta)
+    A, beta = curve_matrix(A), as_rational(beta)
     ent = A.entries
-    n = A.n
     if A.family == "general":
         toric = _general_kernel(A)
     else:
-        toric = [tuple(ent[i] * (j == 0) - ent[0] * (j == i) for j in range(n))
-                 for i in range(1, n)]
-    contiguity = []
-    if A.family == "homogenized":
-        for i in range(A.base.n):
-            delta, rho = minimal_delta(A.base, i)
-            # u = e_0 + delta e_{i+1} - (0, rho); rho indexes the base
-            # matrix and rho_i = 0, so the two halves have disjoint supports.
-            contiguity.append((1,) + tuple(delta * (j == i) - r for j, r in enumerate(rho)))
-    return HypergeometricSystem(
-        A, beta,
-        tuple(WeylOperator.from_lattice(u) for u in toric),
-        WeylOperator.euler(ent, beta),
-        tuple(WeylOperator.from_lattice(u) for u in contiguity),
-    )
+        toric = [tuple(ent[i] * (j == 0) - ent[0] * (j == i) for j in range(A.n))
+                 for i in range(1, A.n)]
+    return HypergeometricSystem(A, beta, tuple(WeylOperator.from_lattice(u) for u in toric),
+                                WeylOperator.euler(ent, beta))

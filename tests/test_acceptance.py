@@ -23,7 +23,7 @@ from gkzcurve import (
     gevrey_envelope_fit,
     gevrey_index_estimate,
     has_minimal_nsupp,
-    lift,
+    homogenize,
     minimal_delta,
     polynomial_solution,
     recurrence_series,
@@ -183,8 +183,8 @@ def test_criterion_6_bfunction_and_restriction():
 def test_criterion_7_homogenization_round_trip():
     start = time.perf_counter()
     A = curve_matrix((3, 4, 5))
-    Ah = lift(A)[0]
-    upstairs, general = build_system(Ah, 0), build_system(A, 0)
+    # the toric binomials of (1 3 4 5), then its contiguity binomials Q_i, then E
+    upstairs, general = homogenize(A, 0).system, build_system(A, 0)
     fr = TruncationFrontier.uniform(4, 40)
     count = 0
     for v in singular_exponents(general):

@@ -124,9 +124,13 @@ def test_exit_codes(capsys):
     assert code == 2
     for bad_f in ["notjson", '[{"k":0}]', '{"k":0}', '[{"k":"x","m":0,"coeff":"1"}]',
                   '[{"k":0,"m":0,"coeff":1}]', '[{"k":1.9,"m":0,"coeff":"1"}]',
-                  '[{"k":true,"m":0,"coeff":"1"}]', '[{"k":0,"m":2.0,"coeff":"1"}]']:
+                  '[{"k":true,"m":0,"coeff":"1"}]', '[{"k":0,"m":2.0,"coeff":"1"}]',
+                  '{}', '""']:
         code, _, err = run(capsys, "solve-ext1", "-A", "2,3", "-b", "1", "--f", bad_f)
         assert code == 2 and err.startswith("error:"), bad_f
+    # an empty list is the zero table
+    assert (run_json(capsys, "solve-ext1", "-A", "2,3", "-b", "1", "--f", "[]")
+            == run_json(capsys, "solve-ext1", "-A", "2,3", "-b", "1"))
     # a repeated index is refused, not overwritten by its last coefficient
     code, out, err = run(capsys, "solve-ext1", "-A", "2,3", "-b", "1", "--f",
                          '[{"k":0,"m":0,"coeff":"1"},{"k":0,"m":0,"coeff":"2"}]')
@@ -177,6 +181,34 @@ def test_verify_json_is_pinned(capsys, argv):
     code, out, err = run(capsys, "verify", *argv.split())
     assert code == 0 and err == "", err
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[argv]
+
+
+# sha256 of the whole `gkz homogenize` JSON: A', the deltas and rhos, and the
+# operators (toric binomials, then the contiguity binomials Q_i, then E)
+HOMOGENIZE_DIGESTS = {
+    ("3,4,5", "0"): "5a0c055e8f5a7376f0b1c49520fcd24c370fdb43de14e0bce6dcc5fcf6a42d2e",
+    ("3,4,5", "1/2"): "ce9f85e3eb4c036943c7d2f089fec19a3d6a396aa1808f531ead08de60f9f770",
+    ("3,4,5", "3"): "0cf01e5589b55a9b9b035cff0cf0fd46fe26426c967a0de10ccb1fd5965d3585",
+    ("4,5,6,7", "0"): "68c6d846b12a329bd53d9be43553969a15482d336094237f858c1bcb2dcc7671",
+    ("4,5,6,7", "1/2"): "10337d3cc5fcfdba85b333930417ab67ff5d24fb7df38305e609145a584fccf4",
+    ("4,5,6,7", "3"): "9ccb6ec4bb2235c00425dbe4462748e48aab84c93dc4231395bf02348a6de9b4",
+    ("5,6,7", "0"): "77513d5d7b99b32a59f4207641a94c22026b11b5b975cff8614382c647fdcba6",
+    ("5,6,7", "1/2"): "b7d2caa7a740c1effbbcce8b65c75a2cc7f9d4b8180bb323105f9531b922711a",
+    ("5,6,7", "3"): "f36f931a8a1e1050b7576ec9aed8fb7b542da868ad2e5cebd47ae05f9a535733",
+    ("3,5,7", "0"): "2f02cc53929a3de9efdcf83a2345492876d588cb4db832f74935e754e5dc7fc6",
+    ("3,5,7", "1/2"): "82b2df479d44cd0fa0029961a74ce509b28e510e0ddad130c44020c19af2ed6b",
+    ("3,5,7", "3"): "cd2e080ff70751984bbb884cb415d4a6b41dc88ff825f53e27982fc8f8ae7774",
+    ("10,11,13,17", "0"): "43a53791459b70826900a04be7431471d09665407c2a942e6234401751c017f4",
+    ("10,11,13,17", "1/2"): "40dfca5f13806cb52223267327abf8f979383b60b1c255f1906adff57354b71a",
+    ("10,11,13,17", "3"): "1ac63a6d4aeec28cd0e60ec1c8560ac64259b8333fb08508753186c6550a4d3c",
+}
+
+
+@pytest.mark.parametrize("matrix, beta", list(HOMOGENIZE_DIGESTS), ids=str)
+def test_homogenize_json_is_pinned(capsys, matrix, beta):
+    code, out, err = run(capsys, "homogenize", "-A", matrix, "-b", beta)
+    assert code == 0 and err == "", err
+    assert hashlib.sha256(out.encode()).hexdigest() == HOMOGENIZE_DIGESTS[matrix, beta]
 
 
 def test_general_matrix_series_is_the_restricted_library_series(capsys):
@@ -236,6 +268,16 @@ def test_gevrey_index_off_the_support_diagonal_is_refused(capsys):
                          "--var", "2")
     assert code == 2 and out == "" and "diagonal terms available" in err
     assert "Traceback" not in err
+    assert "the diagonal m*(0, 0, 7, -6) leaves the support N_v" in err
+    # the smooth (1 2 5) along x_1: v_2 = 0 falls to -2 at the first step
+    code, out, err = run(capsys, "gevrey-index", "-A", "1,2,5", "-b", "1/2", "--bound", "60",
+                         "--var", "1")
+    assert code == 2 and out == "" and "only 0 diagonal terms available, need 8" in err
+    assert "the diagonal m*(0, 5, -2) leaves the support N_v" in err
+    # a diagonal that stays in N_v up to the frontier gives no such reason
+    code, _, err = run(capsys, "gevrey-index", "-A", "4,5,6,7", "-b", "1/2", "--bound", "30",
+                       "--var", "3")
+    assert code == 2 and "diagonal terms available" in err and "N_v" not in err
 
 
 @pytest.mark.parametrize("matrix, bound, terms", [("4,5,6,7", 60, 1067), ("4,5,6,7", 80, 2429),

@@ -254,7 +254,7 @@ def test_one_translate_matches_the_family_formulas():
         built = build_system(A, 0)
         for beta in [F(b) for b in range(-2, 40)] + [F(1, 2)]:
             system = HypergeometricSystem(  # both read only A and beta
-                built.matrix, beta, built.toric, built.euler, built.extra)
+                built.matrix, beta, built.toric, built.euler)
             got = modified_exponent(system)
             assert got == modified_exponent_by_family(system), (A, beta)
             if got is not None:

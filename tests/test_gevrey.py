@@ -20,6 +20,7 @@ from gkzcurve.gevrey import (
 )
 from gkzcurve.lattice import curve_matrix, homogenize_matrix, in_semigroup
 from gkzcurve.rationals import log_abs
+from gkzcurve.restriction import homogenize
 from gkzcurve.series import TruncationFrontier, apply_operator
 from gkzcurve.system import build_system
 
@@ -435,8 +436,8 @@ def test_polynomial_solution_homogenized_matches_smooth():
         q, f = polynomial_solution(Ah, beta)
         q1, f1 = polynomial_solution((1, 3, 4, 5), beta)
         assert (q, f.to_json()) == (q1, f1.to_json()), beta
-        system = build_system(Ah, beta)
-        assert len(system.extra) == 3  # the contiguity operators Q_i
+        system = homogenize((3, 4, 5), beta).system
+        assert len(system.operators) == 3 + 3 + 1  # toric, the contiguity operators Q_i, E
         for op in system.operators:
             assert apply_operator(op, f).is_zero(), (beta, op)
     _, f = polynomial_solution(Ah, 1)

@@ -21,7 +21,9 @@ from gkzcurve.lattice import (
     minimal_delta,
     semigroup_contains,
 )
+from gkzcurve.restriction import restrict_decomposition
 from gkzcurve.series import TruncationFrontier
+from gkzcurve.system import build_system
 
 
 # ---------------------------------------------------------------------------
@@ -34,11 +36,25 @@ def test_family_inference():
     assert curve_matrix((3, 4, 5)).family == "general"
     A = curve_matrix((3, 4, 5))
     Ah = homogenize_matrix(A)
-    assert Ah.family == "homogenized" and Ah.base is A
-    # equality and hashing read the entries and the family, not the base
+    assert Ah.family == "homogenized" and Ah.entries == (1, 3, 4, 5)
+    # equality and hashing read the entries and the family
     plain = CurveMatrix((1,) + A.entries, "homogenized")
-    assert plain.base is None and Ah == plain and hash(Ah) == hash(plain)
+    assert Ah == plain and hash(Ah) == hash(plain)
     assert CurveMatrix((1, 2, 5), "smooth") != CurveMatrix((1, 2, 5), "general")
+
+
+def test_a_hand_built_homogenized_matrix_is_the_homogenization():
+    # the entries alone fix a homogenized matrix: its base is entries[1:]
+    made = homogenize_matrix(curve_matrix((3, 4, 5)))
+    plain = CurveMatrix((1, 3, 4, 5), "homogenized")
+    assert CurveMatrix.__slots__ == ("entries", "family")
+    for beta in (0, Fraction(1, 2), 3):
+        assert build_system(plain, beta).operators == build_system(made, beta).operators
+        assert (restrict_decomposition(plain, beta).to_json()
+                == restrict_decomposition(made, beta).to_json())
+    assert restrict_decomposition(plain, 1).components == ((curve_matrix((3, 4, 5)), 1),)
+    for j in range(4):
+        assert delta_j_set(plain, j, 12) == delta_j_set(made, j, 12)
 
 
 @pytest.mark.parametrize(
@@ -551,7 +567,7 @@ def test_term_cap_counts_a_negative_box_over_n(monkeypatch):
 
 def delta_j_simplex(Aprime, j, degree_bound):
     """Delta_j by the simplex recursion over all n coordinates (test oracle)."""
-    base = Aprime.base.entries
+    base = Aprime.entries[1:]
     n = len(base)
     pivot = n - 2
     out = []

@@ -26,6 +26,7 @@ from gkzcurve.restriction import (
 )
 from gkzcurve.series import (
     TruncationFrontier,
+    WeylOperator,
     apply_operator,
     series_equal,
     verify_annihilation,
@@ -43,13 +44,14 @@ def test_homogenize_data():
     assert hom.deltas == (1, 1, 1)
     # 1 + 3 = 4, 1 + 4 = 5, 1 + 5 = 2*3
     assert hom.rhos == ((0, 1, 0), (0, 0, 1), (2, 0, 0))
-    assert len(hom.system.extra) == 3
+    # the toric binomials of (1 3 4 5), the three Q_i, E
+    assert len(hom.system.toric) == 6 and len(hom.system.operators) == 7
 
 
 @pytest.mark.parametrize("entries", [(3, 4, 5), (4, 5, 6, 7), (6, 7, 8, 9, 10), (10, 11, 13, 17)])
 def test_homogenize_searches_each_delta_once(entries, monkeypatch):
-    # every minimal_delta call opens one semigroup query; homogenize reads
-    # (delta_i, rho_i) back off the Q_i of build_system, which ran them
+    # every minimal_delta call opens one semigroup query, and homogenize
+    # makes one per column of A: build_system of A' makes none
     calls = []
     semigroup = lattice._semigroup
     monkeypatch.setattr(lattice, "_semigroup", lambda *a: calls.append(a) or semigroup(*a))
@@ -57,6 +59,32 @@ def test_homogenize_searches_each_delta_once(entries, monkeypatch):
     assert len(calls) == len(entries)
     A = curve_matrix(entries)
     assert list(zip(hom.deltas, hom.rhos)) == [minimal_delta(A, i) for i in range(A.n)]
+
+
+# the kernel vectors u of homogenize(A, beta).system's binomials box_u, in
+# order: the n toric ones a_i e_0 - e_i of A', then the contiguity ones
+# e_0 + delta_i e_{i+1} - (0, rho_i); E follows them
+HOMOGENIZED_KERNEL = {
+    (3, 4, 5): [(3, -1, 0, 0), (4, 0, -1, 0), (5, 0, 0, -1),
+                (1, 1, -1, 0), (1, 0, 1, -1), (1, -2, 0, 1)],
+    (4, 5, 6, 7): [(4, -1, 0, 0, 0), (5, 0, -1, 0, 0), (6, 0, 0, -1, 0), (7, 0, 0, 0, -1),
+                   (1, 1, -1, 0, 0), (1, 0, 1, -1, 0), (1, 0, 0, 1, -1), (1, -2, 0, 0, 1)],
+    (5, 6, 7): [(5, -1, 0, 0), (6, 0, -1, 0), (7, 0, 0, -1),
+                (1, 1, -1, 0), (1, 0, 1, -1), (1, -3, 0, 2)],
+    (3, 5, 7): [(3, -1, 0, 0), (5, 0, -1, 0), (7, 0, 0, -1),
+                (1, 2, 0, -1), (1, -2, 1, 0), (1, -1, -1, 1)],
+    (10, 11, 13, 17): [(10, -1, 0, 0, 0), (11, 0, -1, 0, 0), (13, 0, 0, -1, 0),
+                       (17, 0, 0, 0, -1), (1, 1, -1, 0, 0), (1, -1, 2, -1, 0),
+                       (1, -1, 0, 2, -1), (1, 0, -2, -1, 2)],
+}
+
+
+@pytest.mark.parametrize("entries", list(HOMOGENIZED_KERNEL), ids=str)
+@pytest.mark.parametrize("beta", [0, F(1, 2), 3], ids=str)
+def test_homogenized_operators_are_pinned(entries, beta):
+    want = (tuple(WeylOperator.from_lattice(u) for u in HOMOGENIZED_KERNEL[entries])
+            + (WeylOperator.euler((1, *entries), beta),))
+    assert homogenize(entries, beta).system.operators == want
 
 
 def test_homogenize_rejects_non_general():
@@ -67,8 +95,11 @@ def test_homogenize_rejects_non_general():
 def test_homogenized_round_trip_annihilation():
     A = curve_matrix((3, 4, 5))
     Ah = lift(A)[0]
-    upstairs, general = build_system(Ah, 0), build_system(A, 0)
-    assert upstairs.operators == homogenize(A, 0).system.operators
+    upstairs, general = homogenize(A, 0).system, build_system(A, 0)
+    # build_system of A' gives the toric binomials and E that homogenize
+    # puts around the Q_i
+    kernel = build_system(Ah, 0)
+    assert upstairs.toric[:3] == kernel.toric and upstairs.euler == kernel.euler
     fr = TruncationFrontier.uniform(4, 24)
     for v in singular_exponents(general):
         f = gamma_series(v, upstairs, fr)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gkzcurve.errors import ResourceLimitError
 from gkzcurve.lattice import curve_matrix, homogenize_matrix, minimal_delta
+from gkzcurve.restriction import homogenize
 from gkzcurve.series import TruncationFrontier, WeylOperator
 from gkzcurve.system import HypergeometricSystem, _general_kernel, build_system
 from gkzcurve import lattice
@@ -25,8 +26,9 @@ def test_plane_system_shape():
     assert system.toric[0] == WeylOperator.from_lattice((3, -2))
     assert system.euler == WeylOperator.euler((2, 3), F(1, 2))
     assert system.operators[-1] is system.euler
-    assert system.extra == ()
-    assert HypergeometricSystem(system.matrix, system.beta, system.toric, system.euler).extra == ()
+    assert system.operators == system.toric + (system.euler,)
+    rebuilt = HypergeometricSystem(system.matrix, system.beta, system.toric, system.euler)
+    assert rebuilt.operators == system.operators
 
 
 def test_smooth_system_shape():
@@ -40,17 +42,21 @@ def test_smooth_system_shape():
 
 def test_homogenized_system_includes_contiguity_operators():
     Ah = homogenize_matrix(curve_matrix((3, 4, 5)))
-    system = build_system(Ah, 0)
-    assert len(system.toric) == 3
-    # one Q_i per base column; each is a binomial in the d's only
-    assert len(system.extra) == 3
-    for op in system.extra:
+    kernel = build_system(Ah, 0).toric
+    assert len(kernel) == 3
+    system = homogenize((3, 4, 5), 0).system
+    assert system.toric[:3] == kernel
+    # one Q_i per base column, after the kernel binomials; each is a
+    # binomial in the d's only
+    contiguity = system.toric[3:]
+    assert len(contiguity) == 3
+    for op in contiguity:
         assert len(op.terms) == 2
         for c, p, q in op.terms:
             assert p == (0, 0, 0, 0)
             assert c in (1, -1)
     # Q for column 0 of (3 4 5): delta=1, rho=(0,1,0) -> d0 d1 - d2
-    q0 = system.extra[0]
+    q0 = contiguity[0]
     assert q0 == WeylOperator(
         4, [(1, (0,) * 4, (1, 1, 0, 0)), (-1, (0,) * 4, (0, 0, 1, 0))]
     )
@@ -71,8 +77,8 @@ def contiguity_monomials(base, i):
 @pytest.mark.parametrize("entries", [(3, 4, 5), (4, 5, 6, 7), (5, 6, 7)])
 def test_contiguity_operators_match_monomial_difference(entries):
     base = curve_matrix(entries)
-    system = build_system(homogenize_matrix(base), 0)
-    assert system.extra == tuple(contiguity_monomials(base, i) for i in range(base.n))
+    system = homogenize(base, 0).system
+    assert system.toric[base.n:] == tuple(contiguity_monomials(base, i) for i in range(base.n))
 
 
 def test_general_system_binomials_lie_in_kernel():
