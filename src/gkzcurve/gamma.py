@@ -141,13 +141,15 @@ def _gamma_terms(p: Sequence[int], q: Sequence[int], z: Sequence[int],
     reduced product of its n coordinate factors T_i(u_i), read from one
     :func:`_factor_table` per coordinate; every later one follows by one
     ratio step a/b on the two coordinates, 0 and n - 1, that z moves, whose
-    two :func:`_ratio_step` factors are computed once per coordinate value.
-    The pair is multiplied by the reduced a/b as ``Fraction`` multiplies,
-    through gcd(num, b) and gcd(a, den).  Every table lives for one call."""
+    two :func:`_ratio_step` factors are kept per coordinate value unless the
+    walk returns one run, which meets each value once.  The pair is
+    multiplied by the reduced a/b as ``Fraction`` multiplies, through
+    gcd(num, b) and gcd(a, den), dividing only by a gcd that is not 1.
+    Every table lives for one call."""
     p0, q0, d, pn, qn, s = p[0], q[0], z[0], p[-1], q[-1], z[-1]
     factors = [_factor_table(pi, qi) for pi, qi in zip(p, q)]
     first, last = {}, {}  # u_0 -> T_0(u_0 + d) / T_0(u_0), u_n -> the same for z_n = s
-    terms = {}
+    terms, shared = {}, len(runs) > 1
     for u, count in runs:
         num = den = 1
         for factor, k in zip(factors, u):
@@ -156,13 +158,19 @@ def _gamma_terms(p: Sequence[int], q: Sequence[int], z: Sequence[int],
         num, den = terms[u] = reduced_pair(num, den)
         u0, un, mid = u[0], u[-1], u[1:-1]
         for _ in range(count - 1):
-            a, b = first.get(u0) or first.setdefault(u0, _ratio_step(p0, q0, u0, d))
-            e, f = last.get(un) or last.setdefault(un, _ratio_step(pn, qn, un, s))
+            if shared:
+                a, b = first.get(u0) or first.setdefault(u0, _ratio_step(p0, q0, u0, d))
+                e, f = last.get(un) or last.setdefault(un, _ratio_step(pn, qn, un, s))
+            else:
+                (a, b), (e, f) = _ratio_step(p0, q0, u0, d), _ratio_step(pn, qn, un, s)
             u0 += d
             un += s
             a, b = reduced_pair(a * e, b * f)
-            g1, g2 = math.gcd(num, b), math.gcd(a, den)
-            terms[(u0, *mid, un)] = num, den = num // g1 * (a // g2), den // g2 * (b // g1)
+            if (g := math.gcd(num, b)) != 1:
+                num, b = num // g, b // g
+            if (g := math.gcd(a, den)) != 1:
+                a, den = a // g, den // g
+            terms[(u0, *mid, un)] = num, den = num * a, den * b
     return terms
 
 

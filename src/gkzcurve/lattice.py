@@ -230,11 +230,12 @@ def _lattice_points(coeffs: Sequence[int], rhs: int, weight: Sequence[int], boun
     :func:`_lattice_runs` expanded.
 
     The one bounded-lattice walk of the package.  Coordinates 1..n-2 range
-    over the ball clipped to their bounds.  A partial vector is dropped when
-    rest, what coordinate 0 and the open coordinates still have to sum to,
-    lies outside the range of sum_i c_i x_i over their clipped box, or when
-    |rest| exceeds the budget left times the largest |c_i| / w_i among those
-    whose c_i x_i can take the sign of rest in that box.  Both tests keep
+    over the ball clipped to their bounds.  A partial vector is dropped in
+    its parent's loop, before the walk enters it, when rest, what coordinate
+    0 and the open coordinates still have to sum to, lies outside the range
+    of sum_i c_i x_i over their clipped box, or when |rest| exceeds the
+    budget left times the largest |c_i| / w_i among those whose c_i x_i can
+    take the sign of rest in that box.  Both tests keep
     every solution, so the runs and their order do not depend on them.
     The last free coordinate x_{n-1} is solved, not visited (coeffs[0] != 0):
     coordinate 0 is an integer only for x_{n-1} in one residue class mod
@@ -261,7 +262,9 @@ def _lattice_runs(coeffs: Sequence[int], rhs: int, weight: Sequence[int], bound:
                   ) -> tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]:
     """(z, runs): the points of :func:`_lattice_points` as runs.  Run
     (x, count) stands for x, x + z, ..., x + (count - 1) z, with one step z
-    for every run; runs are disjoint and in walk order, not sorted.
+    for every run; runs are disjoint and in walk order, not sorted.  A level
+    tests each child's prune in its x-loop, so the walk enters no child the
+    prune rejects.
     """
     if bound < 0:
         return (0,) * len(coeffs), []
@@ -309,10 +312,6 @@ def _lattice_runs(coeffs: Sequence[int], rhs: int, weight: Sequence[int], bound:
 
     def rec(pos: int, partial: list[int], left: int, rest: int) -> None:
         # rest = rhs - sum_{1 <= i < pos} coeffs_i x_i; left = budget unused
-        uc, uw, dc, dw, low, high = prune[pos]
-        if not low <= rest <= high or (rest * uw > uc * left if rest > 0
-                                       else -rest * dw > dc * left):
-            return
         if pos == n - 1:
             if rest % g:
                 return
@@ -332,11 +331,14 @@ def _lattice_runs(coeffs: Sequence[int], rhs: int, weight: Sequence[int], bound:
                 runs.append(((yb + d * kmin, *partial, xb + s * kmin), kmax - kmin + 1))
             return
         cp, wp = coeffs[pos], weight[pos]
+        uc, uw, dc, dw, low, high = prune[pos + 1]
         lim = left // wp
         for x in range(max(lo[pos], -lim), min(hi[pos], lim) + 1):
-            partial.append(x)
-            rec(pos + 1, partial, left - wp * abs(x), rest - cp * x)
-            partial.pop()
+            r, budget = rest - cp * x, left - wp * abs(x)
+            if low <= r <= high and (r * uw <= uc * budget if r > 0 else -r * dw <= dc * budget):
+                partial.append(x)
+                rec(pos + 1, partial, budget, r)
+                partial.pop()
 
     rec(1, [], bound, rhs)
     return step, runs

@@ -28,7 +28,7 @@ from typing import Sequence
 from .errors import InvalidInputError, ResourceLimitError
 from .gamma import _box_gamma_terms, _exponent_axes, lift, modified_exponent
 from .lattice import curve_matrix, homogenize_matrix, minimal_delta, term_cap
-from .rationals import as_rational, falling_product, format_rational
+from .rationals import as_rational, falling_product, format_rational, reduced_pair
 from .series import TruncatedSeries, TruncationFrontier, WeylOperator, apply_operator
 from .system import HypergeometricSystem, build_system
 
@@ -219,7 +219,8 @@ def ext1_recurrence_solve(A, epsilon, beta, f_coeffs, h_init=None,
     rationals; missing f entries are 0 and missing initial values h_{k}
     (i.e. (k, 0)) default to 0; k must lie in 0..a-1.  Returns
     {(k, m): h_{k+am}} for m = 0..num_terms, and raises ResourceLimitError
-    when those a (num_terms + 1) entries exceed the term cap.
+    when those a (num_terms + 1) entries exceed the term cap.  Each chain
+    steps as a reduced integer pair; one Fraction is built per entry.
     """
     a, b = _plane_entries(A)
     if num_terms < 0:
@@ -237,17 +238,18 @@ def ext1_recurrence_solve(A, epsilon, beta, f_coeffs, h_init=None,
     init = {int(k): as_rational(c) for k, c in (h_init or {}).items()}
     if any(not 0 <= k < a for k in init):
         raise InvalidInputError(f"h_init keys {sorted(init)} leave 0..{a - 1}")
-    h: dict[tuple[int, int], Fraction] = {}
+    # z = (beta - bk)/a - bm = zn / zd, zd = a q_beta: (z)_b = falling(zn, zd, b) / zd^b
+    zd, h = a * beta.denominator, {}
     for k in range(a):
-        h[(k, 0)] = init.get(k, Fraction(0))
-        lead = Fraction(beta - b * k, a)
+        num, den = h[(k, 0)] = init.get(k, Fraction(0)).as_integer_ratio()
         for m in range(num_terms):
-            z = lead - b * m
-            fall = Fraction(falling_product(z.numerator, z.denominator, b), z.denominator**b)
-            # the denominator multiplies a consecutive integers, each at least 1
-            den = falling_product(k + a * (m + 1), 1, a)
-            h[(k, m + 1)] = (fall * h[(k, m)] - f.get((k, m), Fraction(0))) / den
-    return h
+            zn = beta.numerator - b * beta.denominator * (k + a * m)
+            fn, fd = f.get((k, m), Fraction(0)).as_integer_ratio()
+            # (k + a(m+1))_a multiplies a consecutive integers, each at least 1
+            num, den = h[(k, m + 1)] = reduced_pair(
+                falling_product(zn, zd, b) * num * fd - fn * zd**b * den,
+                zd**b * den * fd * falling_product(k + a * (m + 1), 1, a))
+    return {km: Fraction(*c) for km, c in h.items()}
 
 
 def recurrence_series(A, beta, table, shift: int = 0,

@@ -20,10 +20,13 @@ polynomial solutions); operators then apply without any frontier loss.
 Operators live in the Weyl algebra with rational coefficients: sums of
 monomials  c * x^p * d^q  with multi-indices p, q >= 0.  They act on a
 prepared view of a series, built once per call and shared by every operator
-of :func:`verify_annihilation`: the term keys, numerators, denominators and
-L1 norms, and each offset u packed into one int, its balanced base-R digits
-with R = 2(M + S) + 1, M = max |u_i| and S the largest operator shift.  A
-target u + shift then has the source's code plus the shift's as its key.
+of :func:`verify_annihilation`: the term keys, numerators, denominators, L1
+norms and falling-product columns, and each offset u packed into one int,
+its balanced base-R digits with R = 2(M + S) + 1, M = max |u_i| and S the
+largest operator shift, so a target u + shift has the source's code plus
+the shift's.  Checking costs big-by-small work per target: one divmod
+decides whether a second contribution cancels the first, a cancelled
+target is deleted, and the frontier test reads only the moved coordinates.
 """
 
 from __future__ import annotations
@@ -261,20 +264,27 @@ def _act(ops, f: TruncatedSeries):
 
     Terms c x^p d^q of one shift p - q act together: c_u x^{base+u} adds
     c_u * S_u at u + p - q, with S_u = sum c (base + u)_q an integer sum over
-    one denominator, built column by column from the falling products of the
-    distinct u_i.  A shift whose S_u all vanish (the Euler operator on a
-    Gamma series) is skipped; the packed keys are built for the first shift
-    that moves a term, and the frontier is tested term by term only where
-    |u|_1 > bound - |shift|_1.  A contribution joins its target's pair by
-    cross-multiplication, with no gcd, and a sum that cancels drops back to
-    (0, 1).  Only a nonzero residual is decoded from its key.
+    one denominator e.  A term's first coordinate with q_i > 0 reads a column
+    of falling products with the term's scalar folded in, one per (i, q_i,
+    scale); each further one multiplies in its own.  A shift whose S_u all
+    vanish (the Euler operator on a Gamma series) is skipped; the packed keys
+    are built for the first shift that moves a term.  Only where |u|_1 >
+    bound - |shift|_1 is the frontier tested, on the coordinates the shift
+    moves.  A target keeps its first contribution n1 w1 / (d1 e1) as the
+    source's reduced pair, its weight and e.  The next, n2 w2 / (d2 e2),
+    cancels it when q, r = divmod(d2 e2 w1, d1) has r = 0 and
+    n1 q = -n2 w2 e1: big-by-small work, and as gcd(n1, d1) = 1 no
+    cancellation is missed.  Any other sum is cross-multiplied, with no gcd,
+    and kept as (num, den, 1, 1) for a third contribution.  A target whose
+    sum cancels is deleted, so only survivors are decoded.
     """
     ops, n, exact = list(ops), f.n, f.exact
     reach = None if exact else [op.max_shift() for op in ops]
     keys = list(f.pairs)
     cols, size = list(zip(*keys)) or [()] * n, len(keys)
     bp, bq = [b.numerator for b in f.base], [b.denominator for b in f.base]
-    falling: dict[tuple[int, int], list[int]] = {}  # (i, q_i) -> column of (base_i + u_i)_{q_i}
+    falling: dict[tuple[int, int], dict[int, int]] = {}  # (i, q_i) -> {u_i: bq_i^q_i (b_i+u_i)_q_i}
+    columns: dict[tuple[int, int, int], list[int]] = {}  # (i, q_i, scale) -> scale * that, per term
     codes = None
     for j, op in enumerate(ops):
         if op.n != n:
@@ -285,52 +295,62 @@ def _act(ops, f: TruncatedSeries):
         for c, p, q in op.terms:
             groups.setdefault(tuple(map(operator.sub, p, q)), []).append(
                 (c.numerator, c.denominator * math.prod(map(pow, bq, q)), q))
-        acc: dict[int, tuple[int, int]] = {}
+        acc: dict[int, tuple[int, int, int, int]] = {}
         for shift, terms in groups.items():
             den = math.lcm(*(d for _, d, _ in terms))
             weights = None
             for k, d, q in terms:
-                w = [k * (den // d)] * size
+                k, w = k * (den // d), None
                 for i, qi in enumerate(q):
                     if qi:
-                        col = falling.get((i, qi))
+                        scale = k if w is None else 1
+                        col = columns.get((i, qi, scale))
                         if col is None:
-                            table = {x: falling_product(bp[i] + x * bq[i], bq[i], qi)
-                                     for x in set(cols[i])}
-                            col = falling[i, qi] = list(map(table.__getitem__, cols[i]))
-                        w = list(map(operator.mul, w, col))
+                            if (i, qi) not in falling:
+                                falling[i, qi] = {x: falling_product(bp[i] + x * bq[i], bq[i], qi)
+                                                  for x in set(cols[i])}
+                            table = falling[i, qi]
+                            if scale != 1:
+                                table = {x: scale * y for x, y in table.items()}
+                            col = columns[i, qi, scale] = list(map(table.__getitem__, cols[i]))
+                        w = col if w is None else list(map(operator.mul, w, col))
+                w = [k] * size if w is None else w  # the op's one constant term
                 weights = w if weights is None else list(map(operator.add, weights, w))
             if not any(weights):
                 continue
             if codes is None:
                 half = (max(map(abs, itertools.chain(*cols)))
                         + max(reach or map(WeylOperator.max_shift, ops)))
-                radix, codes = 2 * half + 1, list(cols[0])
+                radix, codes, l1s = 2 * half + 1, list(cols[0]), list(map(abs, cols[0]))
                 for col in cols[1:]:
                     codes = [c * radix + x for c, x in zip(codes, col)]
+                    l1s = list(map(operator.add, l1s, map(abs, col)))
                 nums, dens = zip(*f.pairs.values())
-                l1s = itertools.repeat(0) if exact else [sum(map(abs, u)) for u in keys]
-            step, limit = 0, 0 if exact else bound - sum(map(abs, shift))
+            step, limit = 0, math.inf if exact else bound - sum(map(abs, shift))
             for x in shift:
                 step = step * radix + x
+            moved = [(i, x) for i, x in enumerate(shift) if x]
             for code, w, num, cden, l1, u in zip(codes, weights, nums, dens, l1s, keys):
-                if not w or l1 > limit and sum(map(abs, map(operator.add, u, shift))) > bound:
+                if not w or l1 > limit and bound < l1 + sum([abs(u[i] + x) - abs(u[i])
+                                                             for i, x in moved]):
                     continue
-                a, b, t = num * w, cden * den, code + step
-                old = acc.get(t)
-                if old is None:
-                    acc[t] = (a, b)
-                else:  # old[1] * b only for a sum that does not cancel
-                    a = old[0] * b + a * old[1]
-                    acc[t] = (a, old[1] * b) if a else (0, 1)
+                t = code + step
+                if (old := acc.pop(t, None)) is None:
+                    acc[t] = num, cden, w, den
+                    continue
+                n1, d1, w1, e1 = old
+                q, r = divmod(cden * (den * w1), d1)
+                if not r and n1 * q == num * -(w * e1):
+                    continue  # the two cancel: the target stays out
+                if a := n1 * w1 * cden * den + num * w * d1 * e1:  # 0: a later one cancelled it
+                    acc[t] = a, d1 * e1 * cden * den, 1, 1
         residual = {}
-        for t, pair in acc.items():
-            if pair[0]:
-                u = []
-                for _ in range(n):
-                    u.append((t + half) % radix - half)
-                    t = (t - u[-1]) // radix
-                residual[tuple(reversed(u))] = pair
+        for t, (a, b, w, d) in acc.items():
+            u = []
+            for _ in range(n):
+                u.append((t + half) % radix - half)
+                t = (t - u[-1]) // radix
+            residual[tuple(reversed(u))] = a * w, b * d
         yield op, frontier, residual
 
 

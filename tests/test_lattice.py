@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gkzcurve import lattice
 from gkzcurve.errors import InvalidInputError, ResourceLimitError
+from gkzcurve.gamma import gamma_series, singular_exponents
 from gkzcurve.lattice import (
     CurveMatrix,
     _ball_count,
@@ -456,10 +457,8 @@ def test_lattice_points_match_box_scan(data, c0, w0, rhs, bound, signed, lower, 
     assert _lattice_points(coeffs, rhs, weight, bound, lower, upper) == clipped
 
 
-def test_walk_prunes_a_one_signed_box():
-    # homogenized (3 4 5), exponent (0, 0, 0, 0) at bound 40: the box x >= 0
-    # holds only x = 0, and the sign of rest rejects every x_1 > 0 and, with
-    # x_1 = 0, every x_2 > 0 on entry: 1 + 41 + 41 nodes
+def walk_nodes(call):
+    """(call(), the number of nodes of the run walk it entered)."""
     nodes = 0
 
     def count(frame, event, arg):
@@ -467,11 +466,34 @@ def test_walk_prunes_a_one_signed_box():
         nodes += event == "call" and frame.f_code.co_name == "rec"
     sys.setprofile(count)
     try:
-        got = _lattice_runs((1, 3, 4, 5), 0, (1, 1, 1, 1), 40, (0, 0, 0, 0))
+        got = call()
     finally:
         sys.setprofile(None)
+    return got, nodes
+
+
+def test_walk_prunes_a_one_signed_box():
+    # homogenized (3 4 5), exponent (0, 0, 0, 0) at bound 40: the box x >= 0
+    # holds only x = 0, and the sign of rest rejects every x_1 > 0 and, with
+    # x_1 = 0, every x_2 > 0 before entering it
+    got, nodes = walk_nodes(lambda: _lattice_runs((1, 3, 4, 5), 0, (1,) * 4, 40, (0,) * 4))
     assert got == ((-5, 0, 0, 1), [((0, 0, 0, 0), 1)])
     assert 0 < nodes <= 100
+
+
+@pytest.mark.parametrize("entries, bound, terms, most", [
+    # 741 and 159 nodes; a walk that tests each child only after entering it
+    # enters 3,207 and 442
+    ((1, 2, 3, 5), 60, 2387, 800),
+    ((1, 2, 5), 220, 2368, 200),
+])
+def test_walk_enters_only_children_that_pass_the_prune(entries, bound, terms, most):
+    system = build_system(entries, Fraction(1, 2))
+    v = singular_exponents(system)[0]
+    frontier = TruncationFrontier.uniform(system.n, bound)
+    f, nodes = walk_nodes(lambda: gamma_series(v, system, frontier))
+    assert len(f.pairs) == terms
+    assert 0 < nodes <= most
 
 
 @pytest.mark.parametrize("coeffs, weight", [

@@ -14,7 +14,7 @@ from gkzcurve.gamma import (
     singular_exponents,
 )
 from gkzcurve.lattice import curve_matrix, homogenize_matrix, minimal_delta
-from gkzcurve.rationals import log_abs
+from gkzcurve.rationals import falling_product, log_abs
 from gkzcurve.restriction import (
     b_function_1kakb,
     ext1_generator,
@@ -237,6 +237,39 @@ def test_recurrence_solves_the_operator_equation(f_table, h_init):
             assert series_equal(ph, f_by_k[k])
         else:
             assert ph.is_zero()
+
+
+def ext1_recurrence_fractions(entries, beta, f_table, h_init, num_terms):
+    """The chains of ext1_recurrence_solve stepped in Fraction arithmetic
+    (test oracle)."""
+    a, b = entries
+    h = {}
+    for k in range(a):
+        h[(k, 0)] = F((h_init or {}).get(k, 0))
+        lead = F(beta - b * k, a)
+        for m in range(num_terms):
+            z = lead - b * m
+            fall = F(falling_product(z.numerator, z.denominator, b), z.denominator**b)
+            den = falling_product(k + a * (m + 1), 1, a)
+            h[(k, m + 1)] = (fall * h[(k, m)] - F(f_table.get((k, m), 0))) / den
+    return h
+
+
+CRITERION_8_TABLES = [
+    ({(0, 0): F(1)}, None),
+    ({(0, 0): F(2), (0, 2): F(-1, 3), (1, 1): F(5)}, {0: F(1)}),
+    ({(1, 0): F(1, 7)}, {0: F(-2), 1: F(3, 4)}),
+]
+
+
+@pytest.mark.parametrize("beta", [F(1), F(1, 2), F(7, 2)], ids=str)
+@pytest.mark.parametrize("f_table, h_init", CRITERION_8_TABLES)
+def test_recurrence_matches_the_fraction_loop(beta, f_table, h_init):
+    want = ext1_recurrence_fractions((2, 3), beta, f_table, h_init, 40)
+    got = ext1_recurrence_solve(curve_matrix((2, 3)), 1, beta, f_table, h_init=h_init,
+                                num_terms=40)
+    assert got == want and list(got) == list(want)
+    assert all(type(c) is F for c in got.values())
 
 
 def test_envelope_fit_recovers_a_geometric_sequence():

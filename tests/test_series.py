@@ -315,6 +315,45 @@ def test_verify_annihilation_mixes_annihilating_and_other_operators():
         assert not any(verdicts[1][:-2])
 
 
+def test_verify_annihilation_finds_near_misses_at_bench_size():
+    # the (2 3) series at bound 2000, beta = 7/2, exponent 1: 401 coefficients
+    # of up to 7,155 bits, the largest of the benchmark
+    system = build_system((2, 3), F(7, 2))
+    f = gamma_series(singular_exponents(system)[1], system, TruncationFrontier.uniform(2, 2000))
+    box = system.toric[0]
+    # two operators whose three shifts (-3, 0), (0, -2), (3, -4), all of
+    # A-degree -6, hit each target: (1 + x_1^3 d_2^2) box, which annihilates
+    # f, and box + x_1^3 d_2^4, which does not
+    ops = [*system.operators,
+           WeylOperator(2, [*box.terms, *[(c, (3, 0), (q[0], q[1] + 2)) for c, _, q in box.terms]]),
+           WeylOperator(2, [*box.terms, (1, (3, 0), (0, 4))])]
+    assert report_fields(verify_annihilation(ops, f)) == verify_annihilation_termwise(ops, f)
+    assert [r.annihilated for r in verify_annihilation(ops, f)] == [True, True, True, False]
+    # corrupt the largest coefficient c whose targets all lie in the checked
+    # frontier, one way at a time: c + 1 keeps the denominator, so a target's
+    # divmod leaves no remainder but the numerators differ; c / p, p prime,
+    # leaves a remainder; -c flips the sign
+    u = max((u for u in f.pairs if sum(map(abs, u)) <= 1990), key=lambda u: abs(f.pairs[u][0]))
+    c, den, prime = f.terms[u], f.pairs[u][1], 2**61 - 1
+    assert c.numerator.bit_length() > 7000
+    for bad, bad_den in ((c + 1, den), (c / prime, prime * den), (-c, den)):
+        g = TruncatedSeries(f.base, {**f.terms, u: bad}, f.frontier)
+        assert g.pairs[u][1] == bad_den
+        got = report_fields(verify_annihilation(ops, g))
+        assert got == verify_annihilation_termwise(ops, g)
+        assert [r[3] for r in got] == [False, True, False, False]  # E acts termwise
+
+
+def test_a_remainder_keeps_a_matching_quotient_from_cancelling():
+    # (1 - x) f at offset 1 sums 1/3 and -2/7: divmod(7, 3) = (2, 1) and
+    # 1 * 2 == 2 * 1, so only the remainder shows that the sum is not 0
+    f = TruncatedSeries((F(0),), {(0,): F(2, 7), (1,): F(1, 3)}, TruncationFrontier.uniform(1, 4))
+    op = WeylOperator(1, [(1, (0,), (0,)), (-1, (1,), (0,))])
+    got = apply_operator(op, f)
+    assert got.terms == apply_operator_termwise(op, f).terms
+    assert got.coefficient((1,)) == F(1, 21)
+
+
 # ---------------------------------------------------------------------------
 # edges of the packed offsets
 
