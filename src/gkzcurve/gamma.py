@@ -19,8 +19,8 @@ Exponent menagerie per family (indices 0-based in code):
 * smooth (1 a_2 .. a_n):
                  singular  v^j = (j, 0,.., (beta-j)/a_{n-1}, 0),  j < a_{n-1}
                  generic   w^j = (j, 0,..,0, (beta-j)/a_n),       j < a_n
-* general:       exponents of the homogenized matrix (1 a_1 .. a_n), whose
-                 series are walked on their x_0 = 0 slice only (generic-parameter
+* general:       exponents of the homogenization (1 a_1 .. a_n), a smooth matrix,
+                 whose series are walked on their x_0 = 0 slice only (generic-parameter
                  facts); :func:`lift` returns that matrix and that series builder.
 
 When beta lies in the semigroup N A there is additionally a *modified*
@@ -59,10 +59,11 @@ def nsupp(v) -> frozenset[int]:
 
 
 class MinimalSupportResult:
-    __slots__ = ("minimal", "exact")
+    __slots__ = ("minimal",)
+    exact = True  # the answer is decided, not searched, in every family
 
-    def __init__(self, minimal: bool, exact: bool):
-        self.minimal, self.exact = minimal, exact
+    def __init__(self, minimal: bool):
+        self.minimal = minimal
 
     def __bool__(self) -> bool:
         return self.minimal
@@ -85,10 +86,10 @@ def has_minimal_nsupp(v, A) -> MinimalSupportResult:
         raise InvalidInputError("exponent dimension mismatch")
     supp = nsupp(v)
     if not supp:
-        return MinimalSupportResult(True, True)
+        return MinimalSupportResult(True)
     if len(supp) >= 2 or any(x.denominator != 1 for x in v):
-        return MinimalSupportResult(False, True)
-    return MinimalSupportResult(not in_semigroup(A.entries, int(A.dot(v))), True)
+        return MinimalSupportResult(False)
+    return MinimalSupportResult(not in_semigroup(A.entries, int(A.dot(v))))
 
 
 def gamma_coefficient(v, u) -> Fraction:
@@ -291,10 +292,10 @@ def singular_exponents(system: HypergeometricSystem) -> list[tuple[Fraction, ...
     """Exponents of the solution basis along the singular direction,
     exponent k at position k.
 
-    plane: a vectors; smooth/homogenized: a_{n-1} vectors.  They are the
-    exponents of lift(A), one coordinate longer for a general matrix; their
-    series restrict to solutions at x_0 = 0 for generic parameters.  Raises
-    ResourceLimitError above the term cap.
+    plane: a vectors; smooth: a_{n-1} vectors.  They are the exponents of
+    lift(A): for a general matrix those of its smooth homogenization, one
+    coordinate longer, whose series restrict to solutions at x_0 = 0 for
+    generic parameters.  Raises ResourceLimitError above the term cap.
     """
     return _exponent_list(system.matrix, system.beta, "singular")
 
@@ -327,7 +328,7 @@ def modified_exponent(system: HypergeometricSystem) -> Optional[tuple[int, tuple
 
     * plane (a b): v^q = (m0, q) and vtilde = (m0 - b m, q + a m);
     * smooth (1 a_2 .. a_n): vtilde = (beta + a_{n-1}, 0, ..., 0, -1, 0),
-      and the same on the homogenized matrix for a general A.
+      and the same on the homogenization (1 | A) of a general A.
     """
     A, beta = system.matrix, system.beta
     if not _beta_in_semigroup(A, beta):
@@ -343,7 +344,7 @@ def modified_exponent(system: HypergeometricSystem) -> Optional[tuple[int, tuple
 
 def modified_series(system: HypergeometricSystem,
                     frontier: TruncationFrontier) -> TruncatedSeries:
-    """phi_vtilde, truncated, for a plane, smooth or homogenized system.
+    """phi_vtilde, truncated, for a plane or smooth system.
     Killed by the Euler operator and by every toric generator except the
     distinguished one, whose image is restriction.ext1_generator."""
     got = modified_exponent(system)
@@ -362,7 +363,7 @@ def modified_series(system: HypergeometricSystem,
 def restrict_series_x0(f: TruncatedSeries) -> TruncatedSeries:
     """Keep the terms whose exponent of the first variable is zero, drop it.
 
-    For a Gamma series of a homogenized matrix (integer base exponent in
+    For a Gamma series of a homogenization (1 | A) (integer base exponent in
     coordinate 0) this realizes the restriction to x_0 = 0.  The returned
     frontier bound shrinks by |k0|, the cost of the forced offset -k0 in
     coordinate 0, which keeps the truncation complete.
@@ -392,7 +393,7 @@ def _x0_slice(v, system: HypergeometricSystem, frontier: TruncationFrontier) -> 
 def lift(A: CurveMatrix) -> tuple[CurveMatrix, Callable[..., TruncatedSeries]]:
     """(A', series): the matrix whose Gamma series solve for A, and the builder
     series(v, system of A', frontier on A') of A's solution at an exponent v of A':
-    :func:`_x0_slice` for a general A, which is homogenized, else gamma_series."""
+    its smooth homogenization and :func:`_x0_slice` for a general A, else A and gamma_series."""
     if A.family == "general":
         return homogenize_matrix(A), _x0_slice
     return A, gamma_series

@@ -14,10 +14,10 @@ need two pieces of integer data from it:
 Every matrix has at least two positive, strictly increasing entries of
 gcd 1.  Its family tag follows from the entries:
 
-* ``plane``        A = (a b)                 (two variables)
-* ``smooth``       A = (1 a_2 ... a_n)       (n >= 3)
-* ``general``      A = (a_1 ... a_n), a_1 > 1, n >= 3
-* ``homogenized``  A' = (1 a_1 ... a_n) produced from a general matrix
+* ``plane``    A = (a b)                 (two variables)
+* ``smooth``   A = (1 a_2 ... a_n)       (n >= 3), the homogenization
+               (1 a_1 ... a_n) of a general matrix among them
+* ``general``  A = (a_1 ... a_n), a_1 > 1, n >= 3
 """
 
 from __future__ import annotations
@@ -53,29 +53,39 @@ def term_cap() -> int:
 
 
 class CurveMatrix:
-    """A 1 x n positive integer matrix together with its family tag.  A
-    homogenized matrix (1 a_1 ... a_n) is the homogenization of entries[1:]."""
+    """A 1 x n matrix of at least two positive, strictly increasing integers
+    of gcd 1, and its family, which the entries decide: plane if n = 2,
+    smooth if the first entry is 1, general otherwise."""
 
     __slots__ = ("entries", "family")
 
-    def __init__(self, entries: tuple[int, ...], family: str):
-        self.entries, self.family = entries, family
+    def __init__(self, entries: Sequence[int]):
+        try:
+            ent = tuple(int(a) for a in entries)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError("matrix entries must be integers") from exc
+        if len(ent) < 2:
+            raise InvalidInputError("need at least two columns")
+        if any(a <= 0 for a in ent):
+            raise InvalidInputError("matrix entries must be positive")
+        if any(x >= y for x, y in zip(ent, ent[1:])):
+            raise InvalidInputError("entries must be strictly increasing")
+        if math.gcd(*ent) != 1:
+            raise InvalidInputError("entries must have gcd 1")
+        self.entries = ent
+        self.family = "plane" if len(ent) == 2 else "smooth" if ent[0] == 1 else "general"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CurveMatrix):
             return NotImplemented
-        return (self.entries, self.family) == (other.entries, other.family)
+        return self.entries == other.entries
 
     def __hash__(self) -> int:
-        return hash((self.entries, self.family))
+        return hash(self.entries)
 
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    @property
-    def gcd(self) -> int:
-        return math.gcd(*self.entries)
 
     def dot(self, u: Sequence) -> object:
         if len(u) != self.n:
@@ -87,35 +97,16 @@ class CurveMatrix:
 
 
 def curve_matrix(entries: CurveMatrix | Sequence[int]) -> CurveMatrix:
-    """Build a CurveMatrix from at least two positive, strictly increasing
-    integers of gcd 1; a CurveMatrix is returned unchanged.
-
-    The family follows from the entries: plane if n = 2, smooth if the first
-    entry is 1, general otherwise.  A homogenized matrix comes only from
-    :func:`homogenize_matrix`.
-    """
-    if isinstance(entries, CurveMatrix):
-        return entries
-    try:
-        ent = tuple(int(a) for a in entries)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError("matrix entries must be integers") from exc
-    if len(ent) < 2:
-        raise InvalidInputError("need at least two columns")
-    if any(a <= 0 for a in ent):
-        raise InvalidInputError("matrix entries must be positive")
-    if any(x >= y for x, y in zip(ent, ent[1:])):
-        raise InvalidInputError("entries must be strictly increasing")
-    if math.gcd(*ent) != 1:
-        raise InvalidInputError("entries must have gcd 1")
-    return CurveMatrix(ent, "plane" if len(ent) == 2 else "smooth" if ent[0] == 1 else "general")
+    """``entries`` if it is a CurveMatrix, else ``CurveMatrix(entries)``."""
+    return entries if isinstance(entries, CurveMatrix) else CurveMatrix(entries)
 
 
 def homogenize_matrix(A: CurveMatrix) -> CurveMatrix:
-    """Prepend a column of 1 to a general matrix: (a_1 .. a_n) -> (1 a_1 .. a_n)."""
+    """Prepend a column of 1 to a general matrix: (a_1 .. a_n) -> the smooth
+    matrix (1 a_1 .. a_n)."""
     if A.family != "general":
         raise InvalidInputError("homogenization starts from a general matrix")
-    return CurveMatrix((1,) + A.entries, "homogenized")
+    return CurveMatrix((1,) + A.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +191,6 @@ def minimal_delta(A: CurveMatrix, i: int) -> tuple[int, tuple[int, ...]]:
 
     chosen lexicographically smallest among witnesses.  Exists because
     gcd of the entries is 1.  One Apéry table of the others tests each delta."""
-    if A.gcd != 1:
-        raise InvalidInputError("minimal_delta needs gcd of entries 1")
     if not 0 <= i < A.n:
         raise InvalidInputError("column index out of range")
     t, member, witness = _semigroup(A.entries[:i] + A.entries[i + 1:], 1)
@@ -356,18 +345,18 @@ def enumerate_offsets(A: CurveMatrix, frontier) -> list[tuple[int, ...]]:
 
 
 def delta_j_set(Aprime: CurveMatrix, j: int, degree_bound: int) -> list[tuple[int, ...]]:
-    """The set Delta_j for a homogenized matrix, truncated by total degree.
+    """The set Delta_j for a smooth matrix, truncated by total degree.
 
-    For A' = (1 a_1 ... a_n) this is
+    For A' = (1 a_1 ... a_n), such as the homogenization of (a_1 ... a_n), this is
 
         { m in N^n : sum_{i != n-1} a_i m_i = j + a_{n-1} m_{n-1} },
 
     listed for sum_i m_i <= degree_bound (0-based: the distinguished index
-    is n-2 in the base matrix): with m_{n-1} negated, the support of gamma.lift's x_0 = 0
-    slice of A''s singular series j at beta = j - a_{n-1}, bound degree_bound + j.
+    is n-2 in the base matrix): with m_{n-1} negated, the support of the x_0 = 0 slice
+    (gamma._x0_slice) of A''s singular series j at beta = j - a_{n-1}, bound degree_bound + j.
     """
-    if Aprime.family != "homogenized":
-        raise InvalidInputError("delta_j_set needs a homogenized matrix")
+    if Aprime.family != "smooth":
+        raise InvalidInputError("delta_j_set needs a smooth matrix")
     base = Aprime.entries[1:]
     n = len(base)
     pivot = n - 2

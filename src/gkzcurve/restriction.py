@@ -11,12 +11,12 @@ x_0 = 0.  This module packages:
   respect to the weight (1, 0, 0), namely tau (tau-1) ... (tau-k+1) for
   generic parameters;
 * :func:`restrict_decomposition` -- the direct-sum shape of a restricted
-  module, as a list of (plane or general matrix, parameter) components;
+  module of a smooth matrix, as a list of (plane matrix, parameter) components;
 * :func:`ext1_recurrence_solve` -- coefficientwise solution of P(h) = f at
   a germ off the origin on the singular line, plus the Gevrey envelope
   check |h_{k+am}| <= C D^m (k+am)!^{s-1} at s = b/a;
-* :func:`ext1_generator` -- the Ext^1 witness P(phi_vtilde) of a plane,
-  smooth or homogenized matrix: P on the finite slab of phi_vtilde.
+* :func:`ext1_generator` -- the Ext^1 witness P(phi_vtilde) of a plane or
+  smooth matrix: P on the finite slab of phi_vtilde.
 """
 
 from __future__ import annotations
@@ -38,13 +38,16 @@ from .system import HypergeometricSystem, build_system
 
 
 class Homogenization:
-    __slots__ = ("matrix", "system", "deltas", "rhos")
+    __slots__ = ("system", "deltas", "rhos")
 
-    def __init__(self, matrix, system, deltas: tuple[int, ...], rhos: tuple[tuple[int, ...], ...]):
-        self.matrix = matrix  # A' = (1 a_1 ... a_n)
+    def __init__(self, system, deltas: tuple[int, ...], rhos: tuple[tuple[int, ...], ...]):
         self.system = system  # generators of the A' system, the Q_i before E
         self.deltas = deltas
         self.rhos = rhos
+
+    @property
+    def matrix(self):  # A' = (1 a_1 ... a_n)
+        return self.system.matrix
 
     def to_json(self) -> dict:
         return {
@@ -67,8 +70,8 @@ def homogenize(A, beta) -> Homogenization:
     contiguity = tuple(
         WeylOperator.from_lattice((1, *(d * (j == i) - r for j, r in enumerate(rho))))
         for i, (d, rho) in enumerate(zip(deltas, rhos)))
-    system = HypergeometricSystem(Ah, kernel.beta, kernel.toric + contiguity, kernel.euler)
-    return Homogenization(Ah, system, deltas, rhos)
+    return Homogenization(HypergeometricSystem(Ah, kernel.beta, kernel.toric + contiguity),
+                          deltas, rhos)
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +129,19 @@ def b_function_1kakb(k: int, a: int, b: int) -> BFunction:
 class RestrictionDecomposition:
     """M restricted to a coordinate subspace, as a direct sum of components.
 
-    Each component is (matrix, parameter).  ``generic`` records that the
+    Each component is (matrix, parameter).  ``generic``: every such
     isomorphism holds for all but finitely many parameters.
     """
 
-    __slots__ = ("source", "beta", "restricted_vars", "components", "generic")
+    __slots__ = ("source", "beta", "restricted_vars", "components")
+    generic = True
 
     def __init__(self, source, beta: Fraction, restricted_vars: tuple[int, ...],
-                 components: tuple, generic: bool = True):
+                 components: tuple):
         self.source = source
         self.beta = beta
         self.restricted_vars = restricted_vars
         self.components = components
-        self.generic = generic
 
     def to_json(self) -> dict:
         return {
@@ -156,14 +159,12 @@ class RestrictionDecomposition:
 def restrict_decomposition(Aprime, beta) -> RestrictionDecomposition:
     """Direct-sum decomposition of the restricted hypergeometric module.
 
-    Three shapes are recognized:
+    Two shapes of smooth matrix are recognized, a homogenization among them:
 
-    * homogenized (1 a_1 ... a_n): restriction to x_0 = 0 is the single
-      module of (a_1 ... a_n) with the same parameter;
     * (1 c_2 c_3) with k = gcd(c_2, c_3): restriction to x_1 = 0 splits
       into k plane components ((c_2/k c_3/k), (beta - i)/k), i = 0..k-1;
     * (1 a_2 ... a_n), n > 3: restriction to x_1 = ... = x_{n-2} = 0
-      splits into k = gcd(a_{n-1}, a_n) components ((a_{n-1} a_n), beta-i).
+      splits into k = gcd(a_{n-1}, a_n) components ((a_{n-1}/k a_n/k), (beta - i)/k).
 
     All decompositions hold for generic parameters.
     """
@@ -172,14 +173,8 @@ def restrict_decomposition(Aprime, beta) -> RestrictionDecomposition:
     ent = Aprime.entries
     n = Aprime.n
 
-    if Aprime.family == "homogenized":
-        comp = ((curve_matrix(ent[1:]), beta),)
-        return RestrictionDecomposition(Aprime, beta, (0,), comp)
-
     if Aprime.family != "smooth":
-        raise InvalidInputError(
-            "restriction shapes start from a smooth or homogenized matrix"
-        )
+        raise InvalidInputError("restriction shapes start from a smooth matrix")
 
     # (1 c_2 ... c_n) restricted to x_1 = ... = x_{n-2} = 0.  The component
     # matrix (c_{n-1} c_n) with parameter beta - i is normalized by the gcd k:
@@ -297,8 +292,8 @@ def gevrey_envelope_fit(values: Sequence[float]) -> tuple[float, float]:
 
 
 def ext1_generator(A, beta) -> TruncatedSeries:
-    """P(phi_vtilde), the Ext^1 witness of a plane, smooth or homogenized
-    matrix for beta in N A, as an exact series.
+    """P(phi_vtilde), the Ext^1 witness of a plane or smooth matrix for beta
+    in N A, as an exact series.
 
     P is the toric generator box_{+-step} (the one of column n - 2 if n > 2)
     for the step a_solved e_free - a_free e_solved of modified_exponent.

@@ -65,7 +65,7 @@ class TruncationFrontier:
         return hash((self.n, self.bound))
 
     @classmethod
-    def uniform(cls, n: int, bound: int = DEFAULT_BOUND) -> "TruncationFrontier":
+    def uniform(cls, n: int, bound: int) -> "TruncationFrontier":
         return cls(n, bound)
 
     def contains(self, offset: Sequence[int]) -> bool:

@@ -9,12 +9,13 @@ Every binomial generator is box_u for a kernel vector u:
 
 * every non-general matrix (a_0 a_1 .. a_{n-1}):
       u_i = a_i e_0 - a_0 e_i  for i = 1..n-1, which is (b, -a) for a plane
-      matrix (a b) and a_i e_0 - e_i for a smooth or homogenized one;
+      matrix (a b) and a_i e_0 - e_i for a smooth one, such as the
+      homogenization (1 a_1 .. a_n) of a general matrix;
 * general: every box_u of support degree at most D = 2 max(A), one per
   +-u pair, from a walk inside that budget (the term cap still counts the
   L1 ball |u|_1 <= 2D that holds them).
 
-restriction.homogenize adds the contiguity binomials of a homogenized matrix.
+restriction.homogenize adds the contiguity binomials of a homogenization.
 """
 
 from __future__ import annotations
@@ -29,16 +30,16 @@ from . import lattice as _lattice
 
 
 class HypergeometricSystem:
-    """A curve matrix, a parameter, and a finite generating set of operators."""
+    """A curve matrix, a parameter, and a finite generating set of operators:
+    the binomials ``toric`` and the Euler operator of the matrix and beta."""
 
     __slots__ = ("matrix", "beta", "toric", "euler")
 
-    def __init__(self, matrix: CurveMatrix, beta, toric: tuple[WeylOperator, ...],
-                 euler: WeylOperator):
+    def __init__(self, matrix: CurveMatrix, beta, toric: tuple[WeylOperator, ...]):
         self.matrix = matrix
         self.beta = beta
         self.toric = toric
-        self.euler = euler
+        self.euler = WeylOperator.euler(matrix.entries, beta)
 
     @property
     def operators(self) -> tuple[WeylOperator, ...]:
@@ -112,5 +113,4 @@ def build_system(A, beta) -> HypergeometricSystem:
     else:
         toric = [tuple(ent[i] * (j == 0) - ent[0] * (j == i) for j in range(A.n))
                  for i in range(1, A.n)]
-    return HypergeometricSystem(A, beta, tuple(WeylOperator.from_lattice(u) for u in toric),
-                                WeylOperator.euler(ent, beta))
+    return HypergeometricSystem(A, beta, tuple(WeylOperator.from_lattice(u) for u in toric))

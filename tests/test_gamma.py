@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gkzcurve import gamma as gamma_module
 from gkzcurve.errors import InvalidInputError
 from gkzcurve.gamma import (
+    MinimalSupportResult,
     _beta_in_semigroup,
     _exponent_axes,
     _polynomial_exponent,
@@ -67,6 +68,8 @@ def test_minimal_support_smooth_is_exact():
     # beta = 3 * 10^7 - 2 lies far above the term cap, in the semigroup of (2 3)
     res = has_minimal_nsupp((F(-1), F(10**7)), curve_matrix((2, 3)))
     assert not res.minimal and res.exact
+    # exact on every path: a class constant, not a stored field
+    assert MinimalSupportResult.__slots__ == ("minimal",) and MinimalSupportResult(False).exact
 
 
 def nsupp_box_scan(v, A, radius):
@@ -253,8 +256,7 @@ def test_one_translate_matches_the_family_formulas():
     for A in matrices:
         built = build_system(A, 0)
         for beta in [F(b) for b in range(-2, 40)] + [F(1, 2)]:
-            system = HypergeometricSystem(  # both read only A and beta
-                built.matrix, beta, built.toric, built.euler)
+            system = HypergeometricSystem(built.matrix, beta, built.toric)  # both read A, beta
             got = modified_exponent(system)
             assert got == modified_exponent_by_family(system), (A, beta)
             if got is not None:

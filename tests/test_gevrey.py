@@ -338,12 +338,12 @@ def test_dimension_table_general_flags_generic_validity():
 
 def three_branch_rule(A, beta):
     """(special, rank0, validity) by one rule per family: semigroup
-    membership for plane and general matrices, beta in N for the smooth and
-    homogenized ones, whose column of 1 makes N A = N."""
+    membership for plane and general matrices, beta in N for the smooth
+    ones, homogenizations among them, whose column of 1 makes N A = N."""
     if A.family == "plane":
         return (beta.denominator == 1 and in_semigroup(A.entries, int(beta)),
                 A.entries[0], "exact")
-    if A.family in ("smooth", "homogenized"):
+    if A.family == "smooth":
         return beta.denominator == 1 and beta >= 0, A.entries[-2], "exact"
     return (beta.denominator == 1 and in_semigroup(A.entries, int(beta)),
             A.entries[-2], "generic-beta")

@@ -35,25 +35,27 @@ def test_family_inference():
     assert curve_matrix((2, 3)).family == "plane"
     assert curve_matrix((1, 2, 5)).family == "smooth"
     assert curve_matrix((3, 4, 5)).family == "general"
-    A = curve_matrix((3, 4, 5))
-    Ah = homogenize_matrix(A)
-    assert Ah.family == "homogenized" and Ah.entries == (1, 3, 4, 5)
-    # equality and hashing read the entries and the family
-    plain = CurveMatrix((1,) + A.entries, "homogenized")
-    assert Ah == plain and hash(Ah) == hash(plain)
-    assert CurveMatrix((1, 2, 5), "smooth") != CurveMatrix((1, 2, 5), "general")
+    # a homogenization is the smooth matrix with its entries: equality and
+    # hashing read the entries alone
+    for entries in ((3, 4, 5), (4, 5, 6, 7), (2, 5, 7)):
+        A = curve_matrix(entries)
+        Ah, plain = homogenize_matrix(A), curve_matrix((1,) + A.entries)
+        assert Ah.family == "smooth" and Ah.entries == (1, *entries)
+        assert Ah == plain and hash(Ah) == hash(plain)
+        assert curve_matrix(Ah) is Ah
 
 
 def test_a_hand_built_homogenized_matrix_is_the_homogenization():
-    # the entries alone fix a homogenized matrix: its base is entries[1:]
+    # the entries alone fix a matrix, so (1 3 4 5) built by hand answers as
+    # the homogenization of (3 4 5) everywhere
     made = homogenize_matrix(curve_matrix((3, 4, 5)))
-    plain = CurveMatrix((1, 3, 4, 5), "homogenized")
-    assert CurveMatrix.__slots__ == ("entries", "family")
+    plain = CurveMatrix((1, 3, 4, 5))
+    assert CurveMatrix.__slots__ == ("entries", "family") and plain.family == "smooth"
     for beta in (0, Fraction(1, 2), 3):
         assert build_system(plain, beta).operators == build_system(made, beta).operators
         assert (restrict_decomposition(plain, beta).to_json()
                 == restrict_decomposition(made, beta).to_json())
-    assert restrict_decomposition(plain, 1).components == ((curve_matrix((3, 4, 5)), 1),)
+    assert restrict_decomposition(made, 1).components == ((curve_matrix((4, 5)), 1),)
     for j in range(4):
         assert delta_j_set(plain, j, 12) == delta_j_set(made, j, 12)
 
@@ -76,8 +78,8 @@ def test_invalid_matrix_messages():
 
 
 def curve_matrix_by_family(entries):
-    """The family-by-family validation that the one rule of curve_matrix
-    replaced, with the family inferred (test oracle)."""
+    """(entries, family) by the family-by-family validation that the one rule
+    of curve_matrix replaced, with the family inferred (test oracle)."""
     ent = tuple(int(a) for a in entries)
     if len(ent) < 2:
         raise InvalidInputError("need at least two columns")
@@ -105,22 +107,27 @@ def curve_matrix_by_family(entries):
             raise InvalidInputError("entries must be strictly increasing")
         if math.gcd(*ent) != 1:
             raise InvalidInputError("general family needs gcd = 1")
-    return CurveMatrix(ent, family)
+    return ent, family
 
 
 def test_one_validation_rule_accepts_what_the_family_rules_accepted():
     def build(f, entries):
         try:
             return f(entries)
-        except InvalidInputError:
-            return None
+        except InvalidInputError as exc:
+            return str(exc)
 
     count = 0
     for n in range(1, 5):
         for entries in itertools.product(range(-1, 9), repeat=n):
             got = build(curve_matrix, entries)
-            assert got == build(curve_matrix_by_family, entries), entries
-            assert got is None or got.family == curve_matrix_by_family(entries).family
+            # the constructor runs the same rule, with the same message
+            assert build(CurveMatrix, entries) == got, entries
+            want = build(curve_matrix_by_family, entries)
+            if isinstance(got, str):
+                assert isinstance(want, str), entries
+            else:
+                assert (got.entries, got.family) == want, entries
             count += 1
     assert count == 11110
 
@@ -611,7 +618,7 @@ def delta_j_simplex(Aprime, j, degree_bound):
 
 @pytest.mark.parametrize("entries", [(2, 3), (3, 4, 5), (2, 5, 7), (4, 5, 6, 7), (3, 5, 7)])
 def test_delta_j_set_matches_simplex_oracle(entries):
-    Ah = homogenize_matrix(CurveMatrix(entries, "general"))
+    Ah = CurveMatrix((1,) + entries)
     for j in range(entries[-2]):
         for degree_bound in (0, 1, 5, 11):
             assert delta_j_set(Ah, j, degree_bound) == delta_j_simplex(Ah, j, degree_bound)
@@ -636,5 +643,10 @@ def test_delta_j_set_validation():
     Ah = homogenize_matrix(curve_matrix((3, 4, 5)))
     with pytest.raises(InvalidInputError):
         delta_j_set(Ah, 4, 5)
-    with pytest.raises(InvalidInputError):
-        delta_j_set(curve_matrix((1, 3, 4)), 0, 5)
+    for entries in ((2, 3), (3, 4, 5)):
+        with pytest.raises(InvalidInputError, match="needs a smooth matrix"):
+            delta_j_set(curve_matrix(entries), 0, 5)
+    # every smooth matrix answers, not only a homogenization
+    A = curve_matrix((1, 3, 4))
+    for j in range(3):
+        assert delta_j_set(A, j, 9) == delta_j_simplex(A, j, 9)

@@ -16,6 +16,8 @@ from gkzcurve.gamma import (
 from gkzcurve.lattice import curve_matrix, homogenize_matrix, minimal_delta
 from gkzcurve.rationals import falling_product, log_abs
 from gkzcurve.restriction import (
+    Homogenization,
+    RestrictionDecomposition,
     b_function_1kakb,
     ext1_generator,
     ext1_recurrence_solve,
@@ -46,6 +48,17 @@ def test_homogenize_data():
     assert hom.rhos == ((0, 1, 0), (0, 0, 1), (2, 0, 0))
     # the toric binomials of (1 3 4 5), the three Q_i, E
     assert len(hom.system.toric) == 6 and len(hom.system.operators) == 7
+
+
+def test_records_keep_no_field_that_another_decides():
+    # A' is the system's matrix, and E follows from A' and beta
+    hom = homogenize((3, 4, 5), F(1, 2))
+    rebuilt = Homogenization(hom.system, hom.deltas, hom.rhos)
+    assert rebuilt.matrix == curve_matrix((1, 3, 4, 5)) and rebuilt.to_json() == hom.to_json()
+    assert hom.system.euler == WeylOperator.euler((1, 3, 4, 5), F(1, 2))
+    # every decomposition holds for generic parameters: a class constant
+    assert RestrictionDecomposition.__slots__ == ("source", "beta", "restricted_vars", "components")
+    assert restrict_decomposition((1, 4, 6), 5).to_json()["generic"] is True
 
 
 @pytest.mark.parametrize("entries", [(3, 4, 5), (4, 5, 6, 7), (6, 7, 8, 9, 10), (10, 11, 13, 17)])
@@ -162,9 +175,15 @@ def test_restrict_many_variables():
 
 
 def test_restrict_homogenized():
-    Ah = homogenize_matrix(curve_matrix((3, 4, 5)))
-    dec = restrict_decomposition(Ah, F(2, 7))
-    assert [(m.entries, b) for m, b in dec.components] == [((3, 4, 5), F(2, 7))]
+    # a homogenization is the smooth matrix with its entries, and restricts as one
+    for entries in ((3, 4, 5), (4, 5, 6, 7)):
+        Ah = homogenize_matrix(curve_matrix(entries))
+        for beta in (F(2, 7), 0, 3):
+            assert (restrict_decomposition(Ah, beta).to_json()
+                    == restrict_decomposition((1, *entries), beta).to_json())
+    dec = restrict_decomposition(homogenize_matrix(curve_matrix((3, 4, 5))), F(2, 7))
+    assert [(m.entries, b) for m, b in dec.components] == [((4, 5), F(2, 7))]
+    assert dec.restricted_vars == (0, 1)
 
 
 def test_restrict_rejects_other_shapes():

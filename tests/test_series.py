@@ -28,6 +28,8 @@ def test_frontier_membership_and_shrink():
     assert hash(fr.shrink(3)) == hash(TruncationFrontier(2, 4))
     assert fr != TruncationFrontier(3, 7) and fr != TruncationFrontier(2, 6)
     assert fr.to_json() == {"weight": [1, 1], "bound": 7}
+    with pytest.raises(TypeError):  # every frontier names its bound
+        TruncationFrontier.uniform(2)
 
 
 @pytest.mark.parametrize("bound", [2.5, 2.0, "3", None, True])

@@ -27,8 +27,10 @@ def test_plane_system_shape():
     assert system.euler == WeylOperator.euler((2, 3), F(1, 2))
     assert system.operators[-1] is system.euler
     assert system.operators == system.toric + (system.euler,)
-    rebuilt = HypergeometricSystem(system.matrix, system.beta, system.toric, system.euler)
+    rebuilt = HypergeometricSystem(system.matrix, system.beta, system.toric)
     assert rebuilt.operators == system.operators
+    # the matrix and beta decide E
+    assert rebuilt.euler == WeylOperator.euler(system.matrix.entries, system.beta)
 
 
 def test_smooth_system_shape():
